@@ -752,9 +752,7 @@ let miscompile_probe (d : Desc.t) ~seed original mutant =
         | Sim.Out_of_fuel -> "fuel\n"
       in
       status ^ Tv.arch_digest d sim
-    with
-    | Udiag.Error di -> "fault:" ^ di.Udiag.message
-    | Invalid_argument m -> "fault:" ^ m
+    with Udiag.Error di -> "fault:" ^ di.Udiag.message
   in
   Tv.seeded_assignments d ~seed ~n:4
   |> List.find_opt (fun a -> run original a <> run mutant a)

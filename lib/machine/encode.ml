@@ -38,8 +38,8 @@ let seq_return = 5
 let seq_halt = 6
 
 let cond_code = function
-  | Desc.C_flag (f, true) -> 1 + Sim.flag_index f
-  | Desc.C_flag (f, false) -> 6 + Sim.flag_index f
+  | Desc.C_flag (f, true) -> 1 + Rtl.flag_index f
+  | Desc.C_flag (f, false) -> 6 + Rtl.flag_index f
   | Desc.C_reg_zero (_, true) -> 11
   | Desc.C_reg_zero (_, false) -> 12
   | Desc.C_int_pending -> 13

@@ -42,7 +42,6 @@ val op_reads_flags : op -> Rtl.flag list
 val op_touches_memory : op -> bool
 val op_units : op -> string list
 val op_phase : op -> int
-val op_extra_cycles : op -> int
 
 val op_field_values : op -> (string * int) list
 (** Resolved control-word settings: register operands encode as their id,

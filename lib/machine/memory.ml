@@ -86,9 +86,6 @@ let mark_present t ~page =
     invalid_arg "Memory.mark_present: no such page";
   t.present.(page) <- true
 
-let load t ~base values =
-  List.iteri (fun i v -> poke t (base + i) v) values
-
 let load_ints t ~base values =
   List.iteri
     (fun i v -> poke t (base + i) (Bitvec.of_int ~width:t.word_width v))

@@ -36,13 +36,11 @@ val poke : t -> int -> Msl_bitvec.Bitvec.t -> unit
 val mark_absent : t -> page:int -> unit
 val mark_present : t -> page:int -> unit
 
-val load : t -> base:int -> Msl_bitvec.Bitvec.t list -> unit
 val load_ints : t -> base:int -> int list -> unit
 
 val reads : t -> int
 val writes : t -> int
 val faults : t -> int
-val reset_counters : t -> unit
 
 val reset : t -> unit
 (** Back to the post-{!create} state, in place: all words zero, all pages

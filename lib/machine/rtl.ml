@@ -15,6 +15,10 @@ type flag = C | V | Z | N | U
 
 let all_flags = [ C; V; Z; N; U ]
 
+(* Stable numbering of the flags: the index into every engine's flag file
+   and the encoder's condition codes. *)
+let flag_index = function C -> 0 | V -> 1 | Z -> 2 | N -> 3 | U -> 4
+
 let flag_name = function C -> "C" | V -> "V" | Z -> "Z" | N -> "N" | U -> "U"
 
 (* Flag-setting binary operators.  These are the operators a real ALU/shifter

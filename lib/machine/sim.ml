@@ -2,19 +2,18 @@
 
    Executes a control store of microinstructions on a machine description.
    Timing model: one base cycle per microinstruction, plus the largest
-   [t_extra_cycles] among its ops (memory stalls).  Within a cycle, the
-   machine's phases run in order; within a phase, all reads sample the
-   phase-start state and all writes commit together — the transport-delay
-   model that lets a single horizontal microinstruction swap two registers,
-   and that gives S*'s [cocycle] its phase-by-phase meaning.
+   [t_extra_cycles] among its ops (memory stalls).  Within a cycle the
+   word's phases run in order under the shared phase model ([Phase],
+   instantiated here over concrete bitvectors); each word is split into
+   its phases once, when the program is loaded.
 
    Interrupts (§2.1.5): the harness schedules arrival cycles; a pending
    interrupt is visible to the [C_int_pending] condition and cleared by the
    [Int_ack] action.  Microtraps: a memory access to an absent page aborts
    the current microinstruction (its phase's writes are discarded), services
-   the fault, and — per the survey's restart model — resumes at the
-   *restart point* of the microprogram, reproducing the double-increment
-   hazard of the survey's `incread` example. *)
+   the fault, and — per the survey's restart model — restarts the
+   microprogram at word 0, reproducing the double-increment hazard of the
+   survey's `incread` example. *)
 
 open Msl_bitvec
 module Diag = Msl_util.Diag
@@ -29,9 +28,10 @@ type status = Halted | Out_of_fuel
 type t = {
   desc : Desc.t;
   regs : Bitvec.t array;
-  flags : bool array;  (* indexed by flag_index *)
+  flags : bool array;  (* indexed by Rtl.flag_index *)
   mem : Memory.t;
   mutable store : Inst.t array;
+  mutable phases : Inst.op list array array;  (* per word: Phase.split *)
   mutable mpc : int;
   mutable call_stack : int list;
   mutable halted : bool;
@@ -48,12 +48,8 @@ type t = {
   (* microtraps *)
   trap_mode : trap_mode;
   fault_penalty : int;
-  mutable restart_pc : int;
   mutable traps_taken : int;
-  mutable trace : bool;
 }
-
-let flag_index = function Rtl.C -> 0 | Rtl.V -> 1 | Rtl.Z -> 2 | Rtl.N -> 3 | Rtl.U -> 4
 
 let create ?(mem_words = 4096) ?(trap_mode = Fault_is_error)
     ?(fault_penalty = 200) (desc : Desc.t) =
@@ -64,6 +60,7 @@ let create ?(mem_words = 4096) ?(trap_mode = Fault_is_error)
     flags = Array.make 5 false;
     mem = Memory.create ~word_width:desc.d_word ~words:mem_words ();
     store = [||];
+    phases = [||];
     mpc = 0;
     call_stack = [];
     halted = false;
@@ -78,9 +75,7 @@ let create ?(mem_words = 4096) ?(trap_mode = Fault_is_error)
     int_latency_max = 0;
     trap_mode;
     fault_penalty;
-    restart_pc = 0;
     traps_taken = 0;
-    trace = false;
   }
 
 let desc t = t.desc
@@ -89,7 +84,6 @@ let pc t = t.mpc
 let cycles t = t.cycles
 let insts_executed t = t.insts_executed
 let traps_taken t = t.traps_taken
-let interrupt_polls t = t.int_polls
 let interrupts_serviced t = t.int_serviced
 
 let interrupt_latency_stats t =
@@ -97,8 +91,6 @@ let interrupt_latency_stats t =
   else
     (float_of_int t.int_latency_total /. float_of_int t.int_serviced,
      t.int_latency_max)
-
-let set_trace t b = t.trace <- b
 
 let get_reg t name = t.regs.((Desc.get_reg t.desc name).Desc.r_id)
 let get_reg_id t id = t.regs.(id)
@@ -115,8 +107,8 @@ let set_reg_int t name v =
   let r = Desc.get_reg t.desc name in
   t.regs.(r.Desc.r_id) <- Bitvec.of_int ~width:r.Desc.r_width v
 
-let get_flag t f = t.flags.(flag_index f)
-let set_flag t f b = t.flags.(flag_index f) <- b
+let get_flag t f = t.flags.(Rtl.flag_index f)
+let set_flag t f b = t.flags.(Rtl.flag_index f) <- b
 
 let load_store t insts =
   let a = Array.of_list insts in
@@ -125,6 +117,7 @@ let load_store t insts =
       "program needs %d control-store words; %s has only %d" (Array.length a)
       t.desc.Desc.d_name t.desc.Desc.d_store_words;
   t.store <- a;
+  t.phases <- Array.map (fun (i : Inst.t) -> Phase.split t.desc i.Inst.ops) a;
   t.mpc <- 0;
   t.halted <- false;
   t.call_stack <- []
@@ -132,14 +125,12 @@ let load_store t insts =
 let schedule_interrupts t cycles_list =
   t.int_schedule <- List.sort compare cycles_list
 
-let set_restart_pc t pc = t.restart_pc <- pc
-
 (* Back to the post-[create]+[load_store] state without re-decoding the
    program: the store survives, and every piece of mutable state is reset
    in place (the compiled engine's closures capture the register, flag
    and memory arrays, so swapping them out would silently detach it).
-   Configuration — trap mode, fault penalty, restart pc, debug trace —
-   is kept: it describes the machine and harness, not the run. *)
+   Configuration — trap mode, fault penalty — is kept: it describes the
+   machine and harness, not the run. *)
 let reset t =
   Array.iteri
     (fun i (r : Desc.reg) -> t.regs.(i) <- Bitvec.zero r.Desc.r_width)
@@ -160,125 +151,59 @@ let reset t =
   t.int_latency_max <- 0;
   t.traps_taken <- 0
 
-(* -- expression evaluation ---------------------------------------------- *)
+(* -- the phase model over concrete values ------------------------------- *)
 
-(* Values of operands and named registers are sampled from [snap], the
-   phase-start snapshot. *)
-let rec eval t (snap : Bitvec.t array) (flags : bool array)
-    (args : Inst.arg array) (e : Rtl.expr) : Bitvec.t =
-  let ev = eval t snap flags args in
-  match e with
-  | Rtl.Opnd i -> (
-      match args.(i) with Inst.A_reg r -> snap.(r) | Inst.A_imm v -> v)
-  | Rtl.Reg name -> snap.((Desc.get_reg t.desc name).Desc.r_id)
-  | Rtl.Const v -> v
-  | Rtl.Flag f -> Bitvec.of_bool flags.(flag_index f)
-  | Rtl.Add (a, b) -> Bitvec.add (ev a) (ev b)
-  | Rtl.Sub (a, b) -> Bitvec.sub (ev a) (ev b)
-  | Rtl.And (a, b) -> Bitvec.logand (ev a) (ev b)
-  | Rtl.Or (a, b) -> Bitvec.logor (ev a) (ev b)
-  | Rtl.Xor (a, b) -> Bitvec.logxor (ev a) (ev b)
-  | Rtl.Not a -> Bitvec.lognot (ev a)
-  | Rtl.Slice (a, hi, lo) -> Bitvec.extract ~hi ~lo (ev a)
-  | Rtl.Concat (a, b) -> Bitvec.concat (ev a) (ev b)
-  | Rtl.Zext (w, a) -> Bitvec.resize ~width:w (ev a)
-  | Rtl.Mux (c, a, b) -> if Bitvec.is_zero (ev c) then ev b else ev a
+module P = Phase.Make (struct
+  type ctx = unit
+  type word = Bitvec.t
+  type bit = bool
+  type flags = Bitvec.flags
+  type mem = Memory.t
 
-(* Pending writes of one phase, committed only if no microtrap occurred. *)
-type write_buffer = {
-  mutable wb_regs : (int * Bitvec.t) list;
-  mutable wb_flags : (int * bool) list;
-  mutable wb_mem : (int * Bitvec.t) list;
-  mutable wb_int_ack : bool;
-}
+  let const () v = v
+  let of_bit () b = Bitvec.of_bool b
+  let lsb () v = Bitvec.lsb v
+  let width = Bitvec.width
+  let add () a b = Bitvec.add a b
+  let sub () a b = Bitvec.sub a b
+  let logand () a b = Bitvec.logand a b
+  let logor () a b = Bitvec.logor a b
+  let logxor () a b = Bitvec.logxor a b
+  let lognot () a = Bitvec.lognot a
+  let slice () a ~hi ~lo = Bitvec.extract ~hi ~lo a
+  let concat () a b = Bitvec.concat a b
+  let resize () w a = Bitvec.resize ~width:w a
+  let mux () c a b = if Bitvec.is_zero c then b else a
+  let alu () op a b ~carry = Rtl.eval_abinop op a b ~carry_in:carry
 
-let dest_reg_id t (args : Inst.arg array) = function
-  | Rtl.D_reg name -> (Desc.get_reg t.desc name).Desc.r_id
-  | Rtl.D_opnd i -> (
-      match args.(i) with
-      | Inst.A_reg r -> r
-      | Inst.A_imm _ ->
-          Diag.error Diag.Execution "microop writes to an immediate operand")
+  let flag () (f : Bitvec.flags) = function
+    | Rtl.C -> f.Bitvec.carry
+    | Rtl.V -> f.overflow
+    | Rtl.Z -> f.zero
+    | Rtl.N -> f.negative
+    | Rtl.U -> f.shifted_out
 
-let buffer_flags wb (f : Bitvec.flags) =
-  wb.wb_flags <-
-    (0, f.Bitvec.carry) :: (1, f.overflow) :: (2, f.zero) :: (3, f.negative)
-    :: (4, f.shifted_out) :: wb.wb_flags
+  let addr a = Bitvec.to_int (Bitvec.resize ~width:62 a)
+  let load () m a = Memory.read m (addr a)
+  let store () m a v = Memory.write m (addr a) v
+end)
 
-(* Execute all actions of the ops scheduled in one phase.  Reads (including
-   memory reads) happen against the snapshot; writes are buffered. *)
-let exec_phase t snap ops =
-  let wb = { wb_regs = []; wb_flags = []; wb_mem = []; wb_int_ack = false } in
-  List.iter
-    (fun (op : Inst.op) ->
-      let args = op.Inst.op_args in
-      let ev e = eval t snap t.flags args e in
-      List.iter
-        (fun (a : Rtl.action) ->
-          match a with
-          | Rtl.Assign (d, e) ->
-              let id = dest_reg_id t args d in
-              let v = Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width (ev e) in
-              wb.wb_regs <- (id, v) :: wb.wb_regs
-          | Rtl.Arith (d, op2, e1, e2) ->
-              let id = dest_reg_id t args d in
-              let w = (Desc.reg t.desc id).Desc.r_width in
-              let v1 = Bitvec.resize ~width:w (ev e1) in
-              let v2 = Bitvec.resize ~width:w (ev e2) in
-              let r, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              wb.wb_regs <- (id, r) :: wb.wb_regs;
-              buffer_flags wb f
-          | Rtl.Arith_flags (op2, e1, e2) ->
-              let v1 = ev e1 in
-              let v2 = Bitvec.resize ~width:(Bitvec.width v1) (ev e2) in
-              let _, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              buffer_flags wb f
-          | Rtl.Arith_nf (d, op2, e1, e2) ->
-              let id = dest_reg_id t args d in
-              let w = (Desc.reg t.desc id).Desc.r_width in
-              let v1 = Bitvec.resize ~width:w (ev e1) in
-              let v2 = Bitvec.resize ~width:w (ev e2) in
-              let r, _ = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              wb.wb_regs <- (id, r) :: wb.wb_regs
-          | Rtl.Mem_read (d, addr) ->
-              let id = dest_reg_id t args d in
-              let a = Bitvec.to_int (Bitvec.resize ~width:62 (ev addr)) in
-              let v = Memory.read t.mem a in
-              wb.wb_regs
-              <- (id, Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width v)
-                 :: wb.wb_regs
-          | Rtl.Mem_write (addr, value) ->
-              let a = Bitvec.to_int (Bitvec.resize ~width:62 (ev addr)) in
-              wb.wb_mem <- (a, ev value) :: wb.wb_mem
-          | Rtl.Set_flag (f, e) ->
-              wb.wb_flags <- (flag_index f, Bitvec.lsb (ev e)) :: wb.wb_flags
-          | Rtl.Int_ack -> wb.wb_int_ack <- true)
-        op.Inst.op_t.Desc.t_actions)
-    ops;
-  (* commit: memory writes can still fault, so do them first *)
-  List.iter (fun (a, v) -> Memory.write t.mem a v) (List.rev wb.wb_mem);
-  List.iter (fun (id, v) -> t.regs.(id) <- v) (List.rev wb.wb_regs);
-  List.iter (fun (i, b) -> t.flags.(i) <- b) (List.rev wb.wb_flags);
-  if wb.wb_int_ack && t.int_pending then begin
-    t.int_pending <- false;
-    t.int_serviced <- t.int_serviced + 1;
-    let lat = t.cycles - t.int_pending_since in
-    t.int_latency_total <- t.int_latency_total + lat;
-    t.int_latency_max <- max t.int_latency_max lat;
-    if Trace.enabled () then
-      Trace.instant ~cat:"sim" "interrupt_acked"
-        ~args:
-          [
-            ("latency_cycles", Trace.A_int lat);
-            ("cycle", Trace.A_int t.cycles);
-          ]
-  end
+let ack_interrupt t =
+  t.int_pending <- false;
+  t.int_serviced <- t.int_serviced + 1;
+  let lat = t.cycles - t.int_pending_since in
+  t.int_latency_total <- t.int_latency_total + lat;
+  t.int_latency_max <- max t.int_latency_max lat;
+  if Trace.enabled () then
+    Trace.instant ~cat:"sim" "interrupt_acked"
+      ~args:
+        [ ("latency_cycles", Trace.A_int lat); ("cycle", Trace.A_int t.cycles) ]
 
 let eval_cond t = function
   | Desc.C_flag (f, v) -> get_flag t f = v
-  | Desc.C_reg_zero (r, v) -> Bitvec.is_zero t.regs.(r) = v
+  | Desc.C_reg_zero (r, v) -> Bitvec.is_zero (Phase.reg t.regs r) = v
   | Desc.C_reg_mask (r, mask) ->
-      let v = t.regs.(r) in
+      let v = Phase.reg t.regs r in
       let n = min (Array.length mask) (Bitvec.width v) in
       let rec loop i =
         if i >= n then true
@@ -331,7 +256,7 @@ let service_page_fault t addr =
               ("cycle", Trace.A_int t.cycles);
             ];
       Memory.mark_present t.mem ~page:(Memory.page_of t.mem addr);
-      t.mpc <- t.restart_pc;
+      t.mpc <- 0;
       t.call_stack <- []
 
 let step t =
@@ -342,18 +267,12 @@ let step t =
       Diag.error Diag.Execution "micro PC %d outside control store (size %d)"
         t.mpc (Array.length t.store);
     let inst = t.store.(t.mpc) in
-    if t.trace then
-      Fmt.epr "@[<h>%4d: %a@]@." t.mpc (Inst.pp t.desc) inst;
-    let by_phase p =
-      List.filter (fun op -> Inst.op_phase op = p) inst.Inst.ops
-    in
+    let phases = t.phases.(t.mpc) in
     (try
-       for p = 0 to t.desc.Desc.d_phases - 1 do
-         match by_phase p with
-         | [] -> ()
-         | ops ->
-             let snap = Array.copy t.regs in
-             exec_phase t snap ops
+       for p = 0 to Array.length phases - 1 do
+         if P.exec_phase () t.desc t.regs t.flags t.mem phases.(p)
+            && t.int_pending
+         then ack_interrupt t
        done;
        t.cycles <- t.cycles + 1 + Inst.inst_extra_cycles inst;
        t.insts_executed <- t.insts_executed + 1;
@@ -363,7 +282,9 @@ let step t =
        | Inst.Branch (c, a) ->
            if eval_cond t c then t.mpc <- a else t.mpc <- t.mpc + 1
        | Inst.Dispatch { dreg; hi; lo; base } ->
-           let idx = Bitvec.to_int (Bitvec.extract ~hi ~lo t.regs.(dreg)) in
+           let idx =
+             Bitvec.to_int (Bitvec.extract ~hi ~lo (Phase.reg t.regs dreg))
+           in
            t.mpc <- base + idx
        | Inst.Call a ->
            t.call_stack <- (t.mpc + 1) :: t.call_stack;
@@ -443,7 +364,7 @@ let state_digest t =
     (String.concat ""
        (List.map
           (fun f ->
-            if t.flags.(flag_index f) then Rtl.flag_name f else "-")
+            if t.flags.(Rtl.flag_index f) then Rtl.flag_name f else "-")
           Rtl.all_flags));
   for a = 0 to Memory.size t.mem - 1 do
     let v = Memory.peek t.mem a in
@@ -477,7 +398,6 @@ module Engine = struct
 
   let add_cycles t n = t.cycles <- t.cycles + n
   let bump_insts t = t.insts_executed <- t.insts_executed + 1
-  let debug_trace t = t.trace
 
   let has_interrupt_work t = t.int_schedule <> []
   let deliver_interrupts = deliver_interrupts

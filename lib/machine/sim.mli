@@ -1,18 +1,17 @@
 (** Cycle-accurate microprogram simulator.
 
     Timing: one base cycle per microinstruction plus the largest declared
-    stall among its ops.  Within a cycle the machine's phases run in
-    order; within a phase all reads sample the phase-start state and all
-    writes commit together (transport-delay model), which is what lets a
-    single horizontal word swap two registers and gives S*'s [cocycle] its
-    phase-by-phase meaning.
+    stall among its ops.  Within a cycle the word's phases run in order
+    under the transport-delay model of {!Phase}, instantiated over
+    concrete bitvectors.
 
     Interrupts (survey §2.1.5): the harness schedules arrival cycles; a
     pending interrupt is visible to [C_int_pending] and cleared by the
     [Int_ack] action, with service latency recorded.  Microtraps: a memory
     access to an absent page aborts the current word (its phase's writes
-    are discarded), services the fault and — in [Restart] mode — resumes
-    at the restart point, reproducing the survey's [incread] hazard. *)
+    are discarded), services the fault and — in [Restart] mode — restarts
+    the microprogram at word 0, reproducing the survey's [incread]
+    hazard. *)
 
 type trap_mode =
   | Restart  (** service the fault, restart the microprogram *)
@@ -21,9 +20,6 @@ type trap_mode =
 type status = Halted | Out_of_fuel
 
 type t
-
-val flag_index : Rtl.flag -> int
-(** Stable numbering of the five condition flags (used by the encoder). *)
 
 val create : ?mem_words:int -> ?trap_mode:trap_mode -> ?fault_penalty:int ->
   Desc.t -> t
@@ -35,21 +31,24 @@ val desc : t -> Desc.t
 val memory : t -> Memory.t
 
 val load_store : t -> Inst.t list -> unit
-(** Install a program and reset the micro PC.
+(** Install a program (each word split into its phases once) and reset
+    the micro PC.
     @raise Msl_util.Diag.Error when it exceeds the control store. *)
 
 val reset : t -> unit
 (** Back to the freshly-loaded state {e without} touching the store:
     registers, flags and memory zeroed in place, counters and interrupt
     state cleared, micro PC at 0.  Configuration (trap mode, fault
-    penalty, restart pc, debug trace) survives.  Because the reset is in
+    penalty) survives.  Because the reset is in
     place, a {!Simc} translation of this simulator stays valid — that is
     the point: re-run a program without re-paying decode. *)
 
 (** {1 Execution} *)
 
 val step : t -> unit
-(** Execute one microinstruction (no-op once halted). *)
+(** Execute one microinstruction (no-op once halted).
+    @raise Msl_util.Diag.Error on an execution fault, among them a word
+    naming a register id the machine does not have. *)
 
 val run : ?fuel:int -> t -> status
 (** Step until [Halt] or [fuel] instructions (default 2,000,000).  When
@@ -66,8 +65,6 @@ val set_reg_id : t -> int -> Msl_bitvec.Bitvec.t -> unit
 val set_reg_int : t -> string -> int -> unit
 val get_flag : t -> Rtl.flag -> bool
 val set_flag : t -> Rtl.flag -> bool -> unit
-val set_trace : t -> bool -> unit
-(** Print each executed word to stderr. *)
 
 (** {1 Metrics} *)
 
@@ -77,10 +74,6 @@ val pc : t -> int
 val cycles : t -> int
 val insts_executed : t -> int
 val traps_taken : t -> int
-
-val interrupt_polls : t -> int
-(** How many times a [C_int_pending] condition was evaluated — the
-    poll-point activity §2.1.5's latency story is about. *)
 
 (** {1 Interrupts and traps} *)
 
@@ -92,9 +85,6 @@ val interrupts_serviced : t -> int
 
 val interrupt_latency_stats : t -> float * int
 (** (average, maximum) cycles between arrival and acknowledgement. *)
-
-val set_restart_pc : t -> int -> unit
-(** Where [Restart]-mode trap servicing resumes (default 0). *)
 
 (** {1 Differential observation} *)
 
@@ -123,7 +113,6 @@ module Engine : sig
   val pop_call : t -> int option
   val add_cycles : t -> int -> unit
   val bump_insts : t -> unit
-  val debug_trace : t -> bool
 
   val has_interrupt_work : t -> bool
   (** Whether interrupt delivery can still occur (schedule nonempty). *)
@@ -134,7 +123,7 @@ module Engine : sig
 
   val service_page_fault : t -> int -> unit
   (** The shared microtrap path: raises in [Fault_is_error] mode,
-      services and redirects to the restart pc in [Restart] mode. *)
+      services and restarts at word 0 in [Restart] mode. *)
 
   val emit_counters : t -> unit
 end

@@ -1,12 +1,12 @@
 (* Compiled simulation engine.
 
    The interpreter ([Sim.step]) re-decodes every microword on every cycle:
-   it filters the word's ops per phase, copies the register file for each
-   nonempty phase, walks the RTL tree, and builds fresh write-buffer lists
-   — all per step.  This module pays those costs once, at translation
-   time: the control store becomes a flowgraph of pre-decoded closures,
-   one per microinstruction, with operand registers, widths, branch
-   conditions and sequencing targets resolved up front.  Dispatch is
+   it walks the RTL tree through the generic phase model ([Phase]) and
+   builds fresh write-buffer lists — all per step.  This module pays
+   those costs once, at translation time: the control store becomes a
+   flowgraph of pre-decoded closures, one per microinstruction, with
+   operand registers, widths, branch conditions and sequencing targets
+   resolved up front.  Dispatch is
    integer direct-threading: each word's closure stores its successor's
    index into [next_pc] (an immediate store, no write barrier) and the
    run loop is one indirect call through the code array per word.
@@ -29,27 +29,28 @@
 
    Fidelity is the design constraint, not an afterthought: the engine
    mutates the *same* [Sim.t] record through [Sim.Engine], reproduces the
-   phase-ordered transport-delay write semantics (including the commit
-   order memory → registers → flags and the partial-commit behaviour of a
-   faulting phase), shares the interpreter's microtrap servicing, and
-   falls back to [Sim.step] wholesale — shadow file synced out and back —
-   for any word containing [Int_ack] (the interrupt-service boundary, so
-   latency accounting is the interpreter's own) or any word the static
-   analysis cannot prove int-representable (shifts and multiplies at
-   widths above 62, runtime width mismatches, out-of-range slices).  The
+   phase model of [Phase] (including the commit order memory → registers
+   → flags and the partial-commit behaviour of a faulting phase), takes
+   its per-phase grouping from [Phase.split], shares the interpreter's
+   microtrap servicing, and falls back to [Sim.step] wholesale — shadow
+   file synced out and back — for any word containing [Int_ack] (the
+   interrupt-service boundary, so latency accounting is the
+   interpreter's own) or any word the static analysis cannot prove
+   int-representable (shifts and multiplies at widths above 62, runtime
+   width mismatches, out-of-range slices, unknown register ids).  The
    differential oracle (test_engine_diff) holds the two engines to
    byte-identical [Sim.state_digest]s over the whole corpus.
 
-   Two word shapes are compiled natively:
+   Two phase shapes are compiled natively:
 
    - Direct: a phase whose actions provably cannot observe each other's
      writes (single action, or pairwise write/read-disjoint with no
      memory access and no raising destination) executes straight against
-     the shadow file — no snapshot, no write buffer.  This covers the
-     hot kernels.
-   - Buffered: anything else gets the interpreter's exact discipline —
-     snapshot the shadow ints (an [Array.blit] of immediates), run the
-     actions into a preallocated write buffer, then commit in order. *)
+     the shadow file, with no write buffer.  This covers the hot kernels.
+   - Buffered: anything else gets the phase model's own discipline — run
+     the actions into a preallocated write buffer, reading the live
+     shadow file (nothing is written until the commit, so it still holds
+     the phase-start values), then commit in order. *)
 
 open Msl_bitvec
 module Diag = Msl_util.Diag
@@ -125,9 +126,6 @@ type t = {
   ints : int array;  (* shadow register file, bits 0..61 *)
   his : int array;  (* shadow register file, bits 62.. (wide regs only) *)
   widths : int array;  (* per-register widths, for the sync-out *)
-  has_wide : bool;  (* some register is wider than 62 bits *)
-  snap : int array;  (* phase-start snapshots, buffered path only *)
-  snap_hi : int array;
   wb : wbuf;
   use_int : bool;
       (* false when a register or the memory word exceeds 64 bits: every
@@ -144,7 +142,6 @@ type t = {
   mutable n_fallback : int;
 }
 
-let sim e = e.sim
 let words e = Array.length e.code - 1
 let native_words e = e.n_native
 let fallback_words e = e.n_fallback
@@ -217,7 +214,12 @@ let relink e = point e (Sim.pc e.sim)
 
 let mask_of w = (1 lsl w) - 1  (* valid for w <= 62 *)
 
-let reg_width d id = (Desc.reg d id).Desc.r_width
+(* An id the machine does not have makes the word [Unsupported]: the
+   interpreter fallback then raises the shared unknown-register
+   diagnostic at run time, exactly when the interpreter would. *)
+let reg_width (d : Desc.t) id =
+  if id < 0 || id >= Array.length d.Desc.d_regs then raise Unsupported;
+  d.Desc.d_regs.(id).Desc.r_width
 
 let const_parts ~w v64 : value =
   let m64 =
@@ -266,23 +268,23 @@ let resize_value ~w (v : value) : value =
 
 (* -- expression compilation ---------------------------------------------- *)
 
-(* [src]/[src_hi] is where register reads come from: the live shadow
-   file on the direct path, the phase-start snapshot on the buffered
-   path.  Flags are read live in both — the interpreter does the same
-   (flag writes are buffered, so they are stable within a phase).  A
-   construct whose interpretation would raise at runtime (width
-   mismatch, bad slice) is [Unsupported]: the enclosing word falls back
-   to the interpreter, which raises identically. *)
-let rec compile_expr (d : Desc.t) (src : int array) (src_hi : int array)
-    (flags : bool array) (args : Inst.arg array) (e0 : Rtl.expr) : value =
-  let ce = compile_expr d src src_hi flags args in
+(* Register and flag reads come from the live shadow file on both
+   paths: a buffered phase writes nothing until its commit, so the live
+   values are the phase-start values.  A construct whose interpretation
+   would raise at runtime (width mismatch, bad slice, unknown register)
+   is [Unsupported]: the enclosing word falls back to the interpreter,
+   which raises identically. *)
+let rec compile_expr e (args : Inst.arg array) (e0 : Rtl.expr) : value =
+  let ce = compile_expr e args in
+  let d = Sim.desc e.sim and ints = e.ints and his = e.his in
+  let flags = Sim.Engine.flags e.sim in
   let read_reg r =
     let w = reg_width d r in
     if w <= 62 then
       {
         w;
-        lo = (fun () -> src.(r));
-        lo_c = Some { arr = src; idx = r };
+        lo = (fun () -> ints.(r));
+        lo_c = Some { arr = ints; idx = r };
         hi = None;
         hi_c = Some zero_cell;
         k = None;
@@ -290,10 +292,10 @@ let rec compile_expr (d : Desc.t) (src : int array) (src_hi : int array)
     else
       {
         w;
-        lo = (fun () -> src.(r));
-        lo_c = Some { arr = src; idx = r };
-        hi = Some (fun () -> src_hi.(r));
-        hi_c = Some { arr = src_hi; idx = r };
+        lo = (fun () -> ints.(r));
+        lo_c = Some { arr = ints; idx = r };
+        hi = Some (fun () -> his.(r));
+        hi_c = Some { arr = his; idx = r };
         k = None;
       }
   in
@@ -309,7 +311,7 @@ let rec compile_expr (d : Desc.t) (src : int array) (src_hi : int array)
   | Rtl.Reg name -> read_reg (Desc.get_reg d name).Desc.r_id
   | Rtl.Const v -> const_value v
   | Rtl.Flag f ->
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       mk 1 (fun () -> if flags.(i) then 1 else 0) None
   | Rtl.Add (a, b) ->
       let a = ce a and b = ce b in
@@ -484,7 +486,7 @@ let compile_cond e (c : Desc.cond) : unit -> bool =
   let flags = Sim.Engine.flags s in
   match c with
   | Desc.C_flag (f, v) ->
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       fun () -> flags.(i) = v
   | Desc.C_reg_zero (r, v) ->
       if reg_width (Sim.desc s) r <= 62 then fun () -> (ints.(r) = 0) = v
@@ -773,20 +775,23 @@ let bitvec_of_value (v : value) () =
    by the phase runner).  Evaluation order — destination resolution
    first, then operands — matches the interpreter's, so a
    writes-to-immediate diagnostic fires at the same point. *)
-let compile_action e (src : int array) (src_hi : int array)
-    (args : Inst.arg array) (a : Rtl.action) ~(buf : wbuf option) :
-    unit -> unit =
+let compile_action e (args : Inst.arg array) (a : Rtl.action)
+    ~(buf : wbuf option) : unit -> unit =
   let s = e.sim in
   let d = Sim.desc s in
   let ints = e.ints and his = e.his in
   let flags = Sim.Engine.flags s in
   let mem = Sim.memory s in
   let mem_w = Memory.word_width mem in
-  let ce = compile_expr d src src_hi flags args in
+  let ce = compile_expr e args in
   let dest = function
     | Rtl.D_reg name -> Some (Desc.get_reg d name).Desc.r_id
     | Rtl.D_opnd i -> (
-        match args.(i) with Inst.A_reg r -> Some r | Inst.A_imm _ -> None)
+        match args.(i) with
+        | Inst.A_reg r ->
+            ignore (reg_width d r);
+            Some r
+        | Inst.A_imm _ -> None)
   in
   let fsink_of buf : fsink =
     match buf with None -> F_direct flags | Some wb -> F_buf wb
@@ -935,7 +940,7 @@ let compile_action e (src : int array) (src_hi : int array)
         | None -> fun () -> Memory.write mem aa.(ai) (to_bv ())
         | Some wb -> fun () -> push_mem wb aa.(ai) (to_bv ())))
   | Rtl.Set_flag (f, ex) -> (
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       let v = ce ex in
       let fe = v.lo in
       match buf with
@@ -973,8 +978,8 @@ let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
           ids_of d args (Rtl.action_reads a) (Rtl.action_read_opnds a)
         in
         let writes = ids_of d args wr_names wr_opnds in
-        let rflags = List.map Sim.flag_index (Rtl.action_reads_flags a) in
-        let wflags = List.map Sim.flag_index (Rtl.action_sets_flags a) in
+        let rflags = List.map Rtl.flag_index (Rtl.action_reads_flags a) in
+        let wflags = List.map Rtl.flag_index (Rtl.action_sets_flags a) in
         (bad_dest, Rtl.action_touches_memory a, reads, writes, rflags, wflags))
       acts
   in
@@ -992,8 +997,8 @@ let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
   ok info
 
 (* One phase of one word: either the direct fast path or the full
-   snapshot-and-buffer discipline (commit order: memory — which can
-   still fault, leaving earlier memory writes committed exactly as the
+   buffer-and-commit discipline (commit order: memory — which can still
+   fault, leaving earlier memory writes committed exactly as the
    interpreter does — then registers, then flags).  Returns the phase's
    runner closures: a direct phase contributes one closure per action
    (the word closure splices them in without a per-phase wrapper), a
@@ -1001,44 +1006,23 @@ let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
 let compile_phase e (acts : (Inst.arg array * Rtl.action) list) :
     (unit -> unit) list =
   let s = e.sim in
-  let d = Sim.desc s in
   let ints = e.ints and his = e.his in
   match acts with
-  | [ (args, a) ] -> [ compile_action e ints his args a ~buf:None ]
-  | _ when direct_ok d acts ->
-      List.map
-        (fun (args, a) -> compile_action e ints his args a ~buf:None)
-        acts
+  | [ (args, a) ] -> [ compile_action e args a ~buf:None ]
+  | _ when direct_ok (Sim.desc s) acts ->
+      List.map (fun (args, a) -> compile_action e args a ~buf:None) acts
   | _ ->
-      let snap = e.snap and snap_hi = e.snap_hi and wb = e.wb in
+      let wb = e.wb in
       let fns =
         Array.of_list
           (List.map
-             (fun (args, a) ->
-               compile_action e snap snap_hi args a ~buf:(Some wb))
+             (fun (args, a) -> compile_action e args a ~buf:(Some wb))
              acts)
       in
-      (* only the registers the phase's expressions actually read need a
-         snapshot slot — the compiled closures read nothing else *)
-      let rids =
-        Array.of_list
-          (List.sort_uniq compare
-             (List.concat_map
-                (fun (args, a) ->
-                  ids_of d args (Rtl.action_reads a)
-                    (Rtl.action_read_opnds a))
-                acts))
-      in
-      let wide = e.has_wide in
       let mem = Sim.memory s in
       let flags = Sim.Engine.flags s in
       [
         (fun () ->
-          for j = 0 to Array.length rids - 1 do
-            let k = Array.unsafe_get rids j in
-            snap.(k) <- ints.(k);
-            if wide then snap_hi.(k) <- his.(k)
-          done;
           wb.n_regs <- 0;
           wb.n_flags <- 0;
           wb.n_mem <- 0;
@@ -1074,7 +1058,7 @@ let compile_seq e i (n : Inst.next) =
            inner branches) pays no condition-closure call. *)
         match c with
         | Desc.C_flag (f, v) ->
-            let fi = Sim.flag_index f in
+            let fi = Rtl.flag_index f in
             let flags = Sim.Engine.flags s in
             fun () ->
               let t = if flags.(fi) = v then a else i + 1 in
@@ -1151,21 +1135,20 @@ let fallback_word e =
     sync_in e;
     if not (Sim.Engine.halted s) then relink e
 
-let compile_native e i (inst : Inst.t) =
+(* A word's phases ([Phase.split]), each flattened to its actions paired
+   with their op's operands. *)
+let word_phases d (inst : Inst.t) =
+  Array.map
+    (List.concat_map (fun (op : Inst.op) ->
+         List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions))
+    (Phase.split d inst.Inst.ops)
+
+let compile_native e i (inst : Inst.t) phases =
   let s = e.sim in
-  let d = Sim.desc s in
-  let phases = Array.make d.Desc.d_phases [] in
-  List.iter
-    (fun (op : Inst.op) ->
-      let p = Inst.op_phase op in
-      phases.(p) <-
-        phases.(p)
-        @ List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions)
-    inst.Inst.ops;
   let runners =
     Array.of_list
       (List.concat_map
-         (fun acts -> if acts = [] then [] else compile_phase e acts)
+         (function [] -> [] | acts -> compile_phase e acts)
          (Array.to_list phases))
   in
   let extra = 1 + Inst.inst_extra_cycles inst in
@@ -1344,20 +1327,17 @@ let compile_native e i (inst : Inst.t) =
             Sim.Engine.bump_insts s;
             seq ()
 
-let compile_word e i (inst : Inst.t) =
+let compile_word e i (inst : Inst.t) phases =
   if (not e.use_int) || word_has_int_ack inst then begin
     e.n_fallback <- e.n_fallback + 1;
     fallback_word e
   end
   else
-    match compile_native e i inst with
+    match compile_native e i inst phases with
     | w ->
         e.n_native <- e.n_native + 1;
         w
     | exception Unsupported ->
-        if Sys.getenv_opt "SIMC_DEBUG" <> None then
-          Printf.eprintf "simc: word %d unsupported: %s\n%!" i
-            (Masm.print (Sim.desc e.sim) [ inst ]);
         e.n_fallback <- e.n_fallback + 1;
         fallback_word e
 
@@ -1384,19 +1364,12 @@ let translate (s : Sim.t) =
   (* capacity: the largest action count of any single phase bounds every
      write-buffer use (each action contributes at most one register
      write, five flag writes, one memory write) *)
-  let max_acts = ref 1 in
-  Array.iter
-    (fun (inst : Inst.t) ->
-      let per_phase = Array.make d.Desc.d_phases 0 in
-      List.iter
-        (fun (op : Inst.op) ->
-          let p = Inst.op_phase op in
-          per_phase.(p) <-
-            per_phase.(p) + List.length op.Inst.op_t.Desc.t_actions)
-        inst.Inst.ops;
-      Array.iter (fun n -> if n > !max_acts then max_acts := n) per_phase)
-    store;
-  let cap = !max_acts in
+  let phases = Array.map (word_phases d) store in
+  let cap =
+    Array.fold_left
+      (Array.fold_left (fun m acts -> max m (List.length acts)))
+      1 phases
+  in
   let dummy = Bitvec.zero 1 in
   let e =
     {
@@ -1405,9 +1378,6 @@ let translate (s : Sim.t) =
       ints = Array.make nregs 0;
       his = Array.make nregs 0;
       widths;
-      has_wide = Array.exists (fun w -> w > 62) widths;
-      snap = Array.make nregs 0;
-      snap_hi = Array.make nregs 0;
       wb =
         {
           n_regs = 0;
@@ -1429,7 +1399,9 @@ let translate (s : Sim.t) =
       n_fallback = 0;
     }
   in
-  Array.iteri (fun i inst -> e.code.(i) <- compile_word e i inst) store;
+  Array.iteri
+    (fun i inst -> e.code.(i) <- compile_word e i inst phases.(i))
+    store;
   (* the sentinel slot: an out-of-range target parked here raises on its
      step, after the same interrupt delivery the interpreter would do *)
   e.code.(nwords) <-
@@ -1457,45 +1429,27 @@ let run ?(fuel = 2_000_000) e =
           ("fuel", Trace.A_int fuel);
         ];
   e.deliver <- Sim.Engine.has_interrupt_work s;
-  let status =
-    if Sim.Engine.debug_trace s then begin
-      (* per-word stderr tracing lives in [Sim.step]: delegate the whole
-         run so the printed stream is the interpreter's own *)
-      let rec loop fuel steps =
-        if Sim.Engine.halted s then Sim.Halted
-        else if fuel <= 0 then Sim.Out_of_fuel
-        else begin
-          Sim.step s;
-          if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
-          loop (fuel - 1) (steps + 1)
-        end
-      in
-      loop fuel 1
-    end
-    else begin
-      sync_in e;
-      relink e;
-      let code = e.code in
-      let loop () =
-        let rec go fuel steps =
-          if Sim.Engine.halted s then Sim.Halted
-          else if fuel <= 0 then Sim.Out_of_fuel
-          else begin
-            (* [next_pc] is always in [0, words]: in-range by [point],
-               or the sentinel slot *)
-            (Array.unsafe_get code e.next_pc) ();
-            if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
-            go (fuel - 1) (steps + 1)
-          end
-        in
-        go fuel 1
-      in
-      (* the sync-out must also run when the program raises (a microtrap
-         in Fault_is_error mode, an execution diagnostic): the caller
-         observes the interpreter-identical state through [Sim.t] *)
-      Fun.protect ~finally:(fun () -> sync_out e) loop
-    end
+  sync_in e;
+  relink e;
+  let code = e.code in
+  let loop () =
+    let rec go fuel steps =
+      if Sim.Engine.halted s then Sim.Halted
+      else if fuel <= 0 then Sim.Out_of_fuel
+      else begin
+        (* [next_pc] is always in [0, words]: in-range by [point], or the
+           sentinel slot *)
+        (Array.unsafe_get code e.next_pc) ();
+        if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
+        go (fuel - 1) (steps + 1)
+      end
+    in
+    go fuel 1
   in
+  (* the sync-out must also run when the program raises (a microtrap in
+     Fault_is_error mode, an execution diagnostic): the caller observes
+     the interpreter-identical state through [Sim.t] *)
+  let status = Fun.protect ~finally:(fun () -> sync_out e) loop in
   if tracing then begin
     Sim.Engine.emit_counters s;
     Trace.span_end ~cat:"simc" "execute"

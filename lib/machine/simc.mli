@@ -6,10 +6,10 @@
     resolved at translation time — and dispatches direct-threaded
     through a mutable next-word index.  Semantics are the interpreter's,
     bit for bit: the engine mutates the same {!Sim.t} (via
-    [Sim.Engine]), preserves the phase-ordered transport-delay write
-    model and its commit order, shares the microtrap servicing, and
-    falls back to {!Sim.step} for any word containing [Int_ack] (the
-    interrupt-service boundary) and for per-word debug tracing.  The
+    [Sim.Engine]), preserves the {!Phase} model and its commit order,
+    shares the microtrap servicing, and falls back to {!Sim.step} for any
+    word containing [Int_ack] (the interrupt-service boundary) and for
+    any word it cannot prove int-representable.  The
     differential oracle in [test/test_engine_diff.ml] holds both
     engines to byte-identical {!Sim.state_digest}s.
 
@@ -33,13 +33,9 @@ val run : ?fuel:int -> t -> Sim.status
     at compiled speed.  When tracing is enabled the run is a
     ["simc"/"execute"] span with the interpreter's periodic counters. *)
 
-val sim : t -> Sim.t
-(** The simulator this engine executes on. *)
-
-val words : t -> int
-
 val native_words : t -> int
 (** Words compiled to native closures. *)
 
 val fallback_words : t -> int
-(** Words delegated to {!Sim.step} (interrupt-service boundaries). *)
+(** Words delegated to {!Sim.step}: interrupt-service boundaries and
+    words the translator cannot compile natively. *)

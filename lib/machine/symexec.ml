@@ -7,9 +7,9 @@
    formulas the simulator evaluates, smart constructors that normalize as
    they build (constant folding through [Rtl.eval_abinop], ALU results
    rewritten to pure add/sub/logic nodes, flag extraction reduced to
-   zero-tests and sign slices), a phase-accurate symbolic executor that
-   reproduces [Sim.exec_phase]'s transport-delay semantics term by term,
-   and a layered decision procedure: identical hash-consed terms are equal
+   zero-tests and sign slices), the shared phase model ([Phase])
+   instantiated over terms as the symbolic word executor, and a layered
+   decision procedure: identical hash-consed terms are equal
    by construction; small memory-free goals are settled by exhaustive
    concrete evaluation over the live input bits; everything else is
    sampled under a seeded store, which can refute with a concrete
@@ -19,7 +19,6 @@
    service's worker domains, and a shared table would be a data race. *)
 
 open Msl_bitvec
-module Diag = Msl_util.Diag
 
 type node =
   | Var of string  (* a symbolic register/flag input of the region *)
@@ -75,9 +74,6 @@ let abinop_index = function
   | Rtl.A_or -> 4 | Rtl.A_xor -> 5 | Rtl.A_mul -> 6 | Rtl.A_shl -> 7
   | Rtl.A_shr -> 8 | Rtl.A_sra -> 9 | Rtl.A_rol -> 10 | Rtl.A_ror -> 11
 
-let flag_index = function
-  | Rtl.C -> 0 | Rtl.V -> 1 | Rtl.Z -> 2 | Rtl.N -> 3 | Rtl.U -> 4
-
 let flag_of_index = function
   | 0 -> Rtl.C | 1 -> Rtl.V | 2 -> Rtl.Z | 3 -> Rtl.N | _ -> Rtl.U
 
@@ -87,7 +83,7 @@ and t_mul = 5 and t_not = 6 and t_concat = 7 and t_mux = 8
 and t_store = 9 and t_sel = 10
 
 let t_alu op = 20 + abinop_index op
-let t_aluf fl op = 40 + (flag_index fl * 12) + abinop_index op
+let t_aluf fl op = 40 + (Rtl.flag_index fl * 12) + abinop_index op
 
 (* -- smart constructors -------------------------------------------------- *)
 
@@ -584,7 +580,7 @@ let copy_store s =
    reads the interrupt line), so it has no term. *)
 let cond_term ctx (s : store) = function
   | Desc.C_flag (f, v) ->
-      let t = s.st_flags.(flag_index f) in
+      let t = s.st_flags.(Rtl.flag_index f) in
       Some (if v then t else lognot ctx t)
   | Desc.C_reg_zero (r, v) ->
       if r < 0 || r >= Array.length s.st_regs then None
@@ -616,128 +612,44 @@ let havoc ~prefix ctx (d : Desc.t) s =
   Array.blit fresh.st_flags 0 s.st_flags 0 (Array.length s.st_flags);
   s.st_mem <- fresh.st_mem
 
-(* Mutated programs (the defect-injection experiments feed the validator
-   deliberately corrupted words) can carry register ids the description
-   does not have; fail with a structured diagnostic instead of letting
-   [Desc.reg]'s [Invalid_argument] escape the validator. *)
-let reg_info (d : Desc.t) id =
-  if id < 0 || id >= Array.length d.Desc.d_regs then
-    Diag.error Diag.Execution "microop references unknown register id %d" id;
-  Desc.reg d id
+(* The phase model over terms.  The memory the actions see is the whole
+   store, so a committed write can replace its [st_mem] chain. *)
+module P = Phase.Make (struct
+  type nonrec ctx = ctx
+  type word = t
+  type bit = t
+  type flags = { op : Rtl.abinop; a : t; b : t; carry : t }
+  type mem = store
 
-let dest_reg_id (d : Desc.t) (args : Inst.arg array) = function
-  | Rtl.D_reg name -> (Desc.get_reg d name).Desc.r_id
-  | Rtl.D_opnd i -> (
-      match args.(i) with
-      | Inst.A_reg r ->
-          ignore (reg_info d r);
-          r
-      | Inst.A_imm _ ->
-          Diag.error Diag.Execution "microop writes to an immediate operand")
-
-(* Symbolic mirror of [Sim.eval]: operand and register reads sample the
-   phase-start snapshot. *)
-let rec seval ctx (d : Desc.t) (snap_regs : t array) (snap_flags : t array)
-    (args : Inst.arg array) (e : Rtl.expr) : t =
-  let ev e = seval ctx d snap_regs snap_flags args e in
-  match e with
-  | Rtl.Opnd i -> (
-      match args.(i) with
-      | Inst.A_reg r ->
-          ignore (reg_info d r);
-          snap_regs.(r)
-      | Inst.A_imm v -> const ctx v)
-  | Rtl.Reg name -> snap_regs.((Desc.get_reg d name).Desc.r_id)
-  | Rtl.Const v -> const ctx v
-  | Rtl.Flag f -> snap_flags.(flag_index f)
-  | Rtl.Add (a, b) -> add ctx (ev a) (ev b)
-  | Rtl.Sub (a, b) -> sub ctx (ev a) (ev b)
-  | Rtl.And (a, b) -> logand ctx (ev a) (ev b)
-  | Rtl.Or (a, b) -> logor ctx (ev a) (ev b)
-  | Rtl.Xor (a, b) -> logxor ctx (ev a) (ev b)
-  | Rtl.Not a -> lognot ctx (ev a)
-  | Rtl.Slice (a, hi, lo) -> slice ctx (ev a) ~hi ~lo
-  | Rtl.Concat (a, b) -> concat ctx (ev a) (ev b)
-  | Rtl.Zext (w, a) -> zext ctx w (ev a)
-  | Rtl.Mux (c, a, b) -> mux ctx (ev c) (ev a) (ev b)
-
-(* Symbolic mirror of [Sim.exec_phase]: reads (including memory reads and
-   the adc carry-in) against the phase-start snapshot, writes buffered and
-   committed memory-first, each class in action order. *)
-let exec_phase ctx (d : Desc.t) (s : store) ops =
-  let snap_regs = Array.copy s.st_regs in
-  let snap_flags = Array.copy s.st_flags in
-  let snap_mem = s.st_mem in
-  let wb_regs = ref [] and wb_flags = ref [] and wb_mem = ref [] in
-  let wb_ack = ref false in
-  let buffer_flags op v1 v2 cin =
-    wb_flags :=
-      (4, alu_flag ctx Rtl.U op v1 v2 ~carry:cin)
-      :: (3, alu_flag ctx Rtl.N op v1 v2 ~carry:cin)
-      :: (2, alu_flag ctx Rtl.Z op v1 v2 ~carry:cin)
-      :: (1, alu_flag ctx Rtl.V op v1 v2 ~carry:cin)
-      :: (0, alu_flag ctx Rtl.C op v1 v2 ~carry:cin)
-      :: !wb_flags
-  in
-  List.iter
-    (fun (op : Inst.op) ->
-      let args = op.Inst.op_args in
-      let ev e = seval ctx d snap_regs snap_flags args e in
-      List.iter
-        (fun (a : Rtl.action) ->
-          match a with
-          | Rtl.Assign (dst, e) ->
-              let id = dest_reg_id d args dst in
-              let v = zext ctx (reg_info d id).Desc.r_width (ev e) in
-              wb_regs := (id, v) :: !wb_regs
-          | Rtl.Arith (dst, op2, e1, e2) ->
-              let id = dest_reg_id d args dst in
-              let w = (reg_info d id).Desc.r_width in
-              let v1 = zext ctx w (ev e1) in
-              let v2 = zext ctx w (ev e2) in
-              let cin = snap_flags.(0) in
-              wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs;
-              buffer_flags op2 v1 v2 cin
-          | Rtl.Arith_flags (op2, e1, e2) ->
-              let v1 = ev e1 in
-              let v2 = zext ctx v1.width (ev e2) in
-              buffer_flags op2 v1 v2 snap_flags.(0)
-          | Rtl.Arith_nf (dst, op2, e1, e2) ->
-              let id = dest_reg_id d args dst in
-              let w = (reg_info d id).Desc.r_width in
-              let v1 = zext ctx w (ev e1) in
-              let v2 = zext ctx w (ev e2) in
-              wb_regs := (id, alu ctx op2 v1 v2 ~carry:snap_flags.(0)) :: !wb_regs
-          | Rtl.Mem_read (dst, addr) ->
-              let id = dest_reg_id d args dst in
-              let a = zext ctx 62 (ev addr) in
-              let v = mem_sel ctx snap_mem a in
-              wb_regs := (id, zext ctx (reg_info d id).Desc.r_width v) :: !wb_regs
-          | Rtl.Mem_write (addr, value) ->
-              let a = zext ctx 62 (ev addr) in
-              wb_mem := (a, ev value) :: !wb_mem
-          | Rtl.Set_flag (f, e) ->
-              let v = ev e in
-              wb_flags := (flag_index f, slice ctx v ~hi:0 ~lo:0) :: !wb_flags
-          | Rtl.Int_ack -> wb_ack := true)
-        op.Inst.op_t.Desc.t_actions)
-    ops;
-  List.iter
-    (fun (a, v) -> s.st_mem <- mem_store ctx s.st_mem a v)
-    (List.rev !wb_mem);
-  List.iter (fun (id, v) -> s.st_regs.(id) <- v) (List.rev !wb_regs);
-  List.iter (fun (i, v) -> s.st_flags.(i) <- v) (List.rev !wb_flags);
-  if !wb_ack then s.st_acks <- s.st_acks + 1
+  let const = const
+  let of_bit _ b = b
+  let lsb ctx v = slice ctx v ~hi:0 ~lo:0
+  let width v = v.width
+  let add = add
+  let sub = sub
+  let logand = logand
+  let logor = logor
+  let logxor = logxor
+  let lognot = lognot
+  let slice = slice
+  let concat = concat
+  let resize = zext
+  let mux = mux
+  let alu ctx op a b ~carry = (alu ctx op a b ~carry, { op; a; b; carry })
+  let flag ctx f fl = alu_flag ctx fl f.op f.a f.b ~carry:f.carry
+  let load ctx s a = mem_sel ctx s.st_mem (zext ctx 62 a)
+  let store ctx s a v = s.st_mem <- mem_store ctx s.st_mem (zext ctx 62 a) v
+end)
 
 (* One microinstruction's worth of operations, phase by phase — the
    symbolic [Sim.step] body (sequencing excluded; the validator compares
    that structurally). *)
 let exec_word ctx (d : Desc.t) (s : store) (ops : Inst.op list) =
-  for p = 0 to d.Desc.d_phases - 1 do
-    match List.filter (fun op -> Inst.op_phase op = p) ops with
-    | [] -> ()
-    | phase_ops -> exec_phase ctx d s phase_ops
-  done
+  Array.iter
+    (fun ops ->
+      if P.exec_phase ctx d s.st_regs s.st_flags s ops then
+        s.st_acks <- s.st_acks + 1)
+    (Phase.split d ops)
 
 (* Pairwise store comparison goals, for [decide]. *)
 let store_pairs (a : store) (b : store) =
@@ -750,30 +662,6 @@ let store_pairs (a : store) (b : store) =
   regs @ flags @ [ (a.st_mem, b.st_mem) ]
 
 (* -- printing (debugging / findings) --------------------------------------- *)
-
-let rec pp ppf t =
-  match t.node with
-  | Var n -> Fmt.string ppf n
-  | Const v -> Bitvec.pp ppf v
-  | Add (a, b) -> Fmt.pf ppf "(%a + %a)" pp a pp b
-  | Sub (a, b) -> Fmt.pf ppf "(%a - %a)" pp a pp b
-  | And (a, b) -> Fmt.pf ppf "(%a & %a)" pp a pp b
-  | Or (a, b) -> Fmt.pf ppf "(%a | %a)" pp a pp b
-  | Xor (a, b) -> Fmt.pf ppf "(%a ^ %a)" pp a pp b
-  | Mul (a, b) -> Fmt.pf ppf "(%a * %a)" pp a pp b
-  | Not a -> Fmt.pf ppf "~%a" pp a
-  | Slice (a, hi, lo) -> Fmt.pf ppf "%a[%d:%d]" pp a hi lo
-  | Concat (a, b) -> Fmt.pf ppf "(%a @@ %a)" pp a pp b
-  | Zext a -> Fmt.pf ppf "zext%d(%a)" t.width pp a
-  | Mux (c, a, b) -> Fmt.pf ppf "(%a ? %a : %a)" pp c pp a pp b
-  | Alu (op, a, b) -> Fmt.pf ppf "%s(%a, %a)" (Rtl.abinop_name op) pp a pp b
-  | Alu_flag (fl, op, a, b, _) ->
-      Fmt.pf ppf "%s.%s(%a, %a)" (Rtl.abinop_name op) (Rtl.flag_name fl) pp a
-        pp b
-  | Mem_init -> Fmt.string ppf "mem0"
-  | Mem_var n -> Fmt.string ppf n
-  | Mem_store (m, a, v) -> Fmt.pf ppf "%a[%a := %a]" pp m pp a pp v
-  | Mem_sel (m, a) -> Fmt.pf ppf "%a[%a]" pp m pp a
 
 let pp_assignment ppf a =
   Fmt.(list ~sep:sp (fun ppf (n, v) -> pf ppf "%s=%a" n Bitvec.pp v)) ppf a

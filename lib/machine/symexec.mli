@@ -2,8 +2,8 @@
 
     The engine under the translation validator ({!Msl_mir.Tv}): hash-consed
     terms mirroring the {!Msl_bitvec.Bitvec} formulas the simulator
-    evaluates, normalizing smart constructors, a phase-accurate symbolic
-    executor reproducing {!Sim}'s transport-delay semantics, and a layered
+    evaluates, normalizing smart constructors, the {!Phase} model
+    instantiated over terms as the symbolic word executor, and a layered
     decision procedure (term identity, then exhaustive concrete evaluation
     over the live input bits under a budget, then seeded sampling that can
     refute but never prove). *)
@@ -46,38 +46,15 @@ val create_ctx : unit -> ctx
 (** {1 Term builders (normalizing)} *)
 
 val var : ctx -> string -> int -> t
-val const : ctx -> Bitvec.t -> t
 val const_int : ctx -> width:int -> int -> t
-val false_ : ctx -> t
 val true_ : ctx -> t
 val add : ctx -> t -> t -> t
 val sub : ctx -> t -> t -> t
 val logand : ctx -> t -> t -> t
-val logor : ctx -> t -> t -> t
-val logxor : ctx -> t -> t -> t
-val mul : ctx -> t -> t -> t
 val lognot : ctx -> t -> t
 val slice : ctx -> t -> hi:int -> lo:int -> t
 val zext : ctx -> int -> t -> t
 (** Resize: zero-extends when growing, slices when shrinking. *)
-
-val concat : ctx -> t -> t -> t
-val mux : ctx -> t -> t -> t -> t
-
-val alu : ctx -> Rtl.abinop -> t -> t -> carry:t -> t
-(** The ALU result of [op a b] with the given carry-in term, normalized:
-    add/adc/sub/and/or/xor/mul are rewritten to ring/lattice nodes (adc
-    becomes [a + b + zext carry]); only shifts/rotates stay opaque. *)
-
-val alu_flag : ctx -> Rtl.flag -> Rtl.abinop -> t -> t -> carry:t -> t
-(** One condition-code output of [op a b], mirroring [Rtl.eval_abinop] and
-    [Bitvec.flags_of]: Z is an is-zero test of the result, N its sign bit,
-    and flags an op pins to false become constant false. *)
-
-val mem_init : ctx -> word:int -> t
-val mem_var : ctx -> string -> word:int -> t
-val mem_store : ctx -> t -> t -> t -> t
-val mem_sel : ctx -> t -> t -> t
 
 (** {1 Concrete evaluation} *)
 
@@ -145,16 +122,14 @@ val havoc : prefix:string -> ctx -> Desc.t -> store -> unit
     microsubroutine call, unmodeled but identical on both sides. *)
 
 val exec_word : ctx -> Desc.t -> store -> Inst.op list -> unit
-(** Execute one microinstruction's operations phase by phase, mirroring
-    [Sim.step]'s transport-delay model: reads sample the phase-start
-    snapshot, writes commit together (memory, then registers, then flags,
-    in action order).  @raise Msl_util.Diag.Error as [Sim] would (e.g. a
-    write to an immediate operand). *)
+(** Execute one microinstruction's operations phase by phase under the
+    {!Phase} model — the same code {!Sim.step} runs, over terms.
+    @raise Msl_util.Diag.Error as [Sim] would (a write to an immediate
+    operand, an unknown register id). *)
 
 val store_pairs : store -> store -> (t * t) list
 (** The equality goals comparing two stores: registers, flags, memory. *)
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
 val pp_assignment : Format.formatter -> assignment -> unit

@@ -270,12 +270,7 @@ let run_digests (d : Desc.t) insts idxs cx =
            (fun j -> if j = i then digests := arch_digest d sim :: !digests)
            idxs
      done
-   with
-   | Udiag.Error di -> fill ("fault:" ^ di.Udiag.message)
-   | Invalid_argument m ->
-       (* mutated programs can carry register ids the description does
-          not have; [Sim] stops on them with [Invalid_argument] *)
-       fill ("fault:" ^ m));
+   with Udiag.Error di -> fill ("fault:" ^ di.Udiag.message));
   List.rev !digests
 
 (* The differential-oracle fallback for one block: seeded concrete runs
@@ -294,7 +289,7 @@ let dynamic_check config (d : Desc.t) ref_words cand_words =
         match diverging with
         | Some a -> Refuted (Some a)
         | None -> Validated_dynamic
-      with Udiag.Error _ | Invalid_argument _ -> Unknown)
+      with Udiag.Error _ -> Unknown)
   | _ -> Unknown
 
 (* -- per-block validation --------------------------------------------------- *)

@@ -288,6 +288,74 @@ let test_reset_reuses_translation () =
   Alcotest.(check string)
     "and match the interpreter" (Sim.state_digest sim_i) second
 
+(* -- corrupted words --------------------------------------------------- *)
+
+(* A word naming a register the machine does not have (id = the register
+   count, as a mutated or corrupted program can) must stop both engines
+   with the same located diagnostic and leave the same state behind —
+   whether the id is an operand, a branch condition's register or a
+   dispatch register. *)
+let test_unknown_register () =
+  let d = Machines.hp3 in
+  let bad = Array.length d.Desc.d_regs in
+  let c = Toolkit.compile Toolkit.Yalll d Handcoded.yalll_dot in
+  let is_reg = function Inst.A_reg _ -> true | Inst.A_imm _ -> false in
+  let has_reg (op : Inst.op) = Array.exists is_reg op.Inst.op_args in
+  let k =
+    match
+      List.find_index
+        (fun (w : Inst.t) -> List.exists has_reg w.Inst.ops)
+        c.Toolkit.c_insts
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "no word with a register operand"
+  in
+  let with_word f =
+    List.mapi (fun i w -> if i = k then f w else w) c.Toolkit.c_insts
+  in
+  let corrupt_operand (w : Inst.t) =
+    let op = List.find has_reg w.Inst.ops in
+    let args = Array.copy op.Inst.op_args in
+    args.(Option.get (Array.find_index is_reg args)) <- Inst.A_reg bad;
+    let op' = { op with Inst.op_args = args } in
+    { w with Inst.ops = List.map (fun o -> if o == op then op' else o) w.ops }
+  in
+  let variants =
+    [
+      ("operand", with_word corrupt_operand);
+      ( "branch condition",
+        with_word (fun w ->
+            { w with Inst.next = Inst.Branch (Desc.C_reg_zero (bad, true), 0) })
+      );
+      ( "dispatch register",
+        with_word (fun w ->
+            {
+              w with
+              Inst.next =
+                Inst.Dispatch { dreg = bad; hi = 1; lo = 0; base = 0 };
+            }) );
+    ]
+  in
+  List.iter
+    (fun (what, insts) ->
+      let run engine =
+        let sim = Sim.create d in
+        Sim.load_store sim insts;
+        dot_setup sim;
+        match Toolkit.exec ~engine ~fuel:100_000 sim with
+        | _ -> Alcotest.failf "%s: the run went past the corrupted word" what
+        | exception Diag.Error di -> (di.Diag.message, Sim.state_digest sim)
+      in
+      let msg_i, digest_i = run Toolkit.Interp in
+      let msg_c, digest_c = run Toolkit.Compiled in
+      Alcotest.(check string)
+        (what ^ ": interpreter diagnostic")
+        (Printf.sprintf "microop references unknown register id %d" bad)
+        msg_i;
+      Alcotest.(check string) (what ^ ": same diagnostic") msg_i msg_c;
+      Alcotest.(check string) (what ^ ": same state") digest_i digest_c)
+    variants
+
 let () =
   Alcotest.run "engine_diff"
     [
@@ -319,5 +387,7 @@ let () =
             test_microtraps;
           Alcotest.test_case "Sim.reset reuses a translation" `Quick
             test_reset_reuses_translation;
+          Alcotest.test_case "unknown register ids fail alike" `Quick
+            test_unknown_register;
         ] );
     ]
