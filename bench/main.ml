@@ -11,6 +11,7 @@ module Pipeline = Msl_mir.Pipeline
 module Compaction = Msl_mir.Compaction
 module Regalloc = Msl_mir.Regalloc
 module Trace = Msl_util.Trace
+module Clock = Msl_util.Clock
 
 (* -- part 1: the tables ------------------------------------------------------ *)
 
@@ -118,9 +119,9 @@ let batch_warm () =
    beats the cold path. *)
 let print_service_comparison () =
   let wall f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     f ();
-    Unix.gettimeofday () -. t0
+    Clock.elapsed_s t0
   in
   let n = List.length corpus in
   Fmt.pr "== S1: batch service over a %d-program YALLL corpus ==@." n;
@@ -229,9 +230,9 @@ let print_trace_overhead () =
   trace_disabled_kernel ();
   let dw = Gc.minor_words () -. w0 in
   let wall f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     f ();
-    Unix.gettimeofday () -. t0
+    Clock.elapsed_s t0
   in
   let workload () = compile_simpl_fpmul (); sim_dot () in
   workload () (* warm the allocator and code paths once *);
@@ -450,9 +451,9 @@ let s4_gate ~floor =
      example corpus (every language x machine x opt level).  A timing
      record only — it rides in the same JSON but is deliberately not an
      S4 row, so it can never trip the speedup floor. *)
-  let v1_t0 = Unix.gettimeofday () in
+  let v1_t0 = Clock.now_s () in
   let v1_rows = Experiments.v1_honest_rows () in
-  let v1_ms = (Unix.gettimeofday () -. v1_t0) *. 1e3 in
+  let v1_ms = Clock.elapsed_s v1_t0 *. 1e3 in
   let v1_sum f = List.fold_left (fun a r -> a + f r) 0 v1_rows in
   let v1_blocks = v1_sum (fun r -> r.Experiments.v1h_blocks) in
   let v1_refuted = v1_sum (fun r -> r.Experiments.v1h_refuted) in

@@ -5,6 +5,7 @@
 open Msl_bitvec
 open Msl_machine
 module Tbl = Msl_util.Tbl
+module Clock = Msl_util.Clock
 module Pipeline = Msl_mir.Pipeline
 module Compaction = Msl_mir.Compaction
 module Regalloc = Msl_mir.Regalloc
@@ -1373,9 +1374,9 @@ let r1_rows () =
       let latencies =
         List.map
           (fun j ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Clock.now_s () in
             let o = Service.compile_job ~policy ~faults timed j in
-            let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+            let ms = Clock.elapsed_s t0 *. 1000.0 in
             (o, ms))
           jobs
       in
@@ -1436,8 +1437,9 @@ let r1 () =
    translation/simulator across runs: the interpreter loop is
    reset+setup+run, the compiled loop reuses one [Simc.translate] result
    across resets — which is exactly the replay pattern the engine is
-   for.  Wall-clock based, so the absolute numbers vary by host; the
-   *ratio* is the claim (see BENCH_*.json for the asserted floor). *)
+   for.  Timed on the monotonic clock, so the absolute numbers vary by
+   host; the *ratio* is the claim (see BENCH_*.json for the asserted
+   floor). *)
 type s4_row = {
   s4_kernel : string;
   s4_machine : string;
@@ -1450,9 +1452,9 @@ type s4_row = {
 (* Repeat [f] until [budget_s] seconds have elapsed (at least once);
    return (runs, elapsed). *)
 let s4_time budget_s f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let rec go n =
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Clock.elapsed_s t0 in
     if n > 0 && elapsed >= budget_s then (n, elapsed)
     else (
       f ();

@@ -20,55 +20,7 @@ module Pipeline = Msl_mir.Pipeline
 
 type jfield = string * Trace.json
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let rec add_json buf : Trace.json -> unit = function
-  | Trace.J_null -> Buffer.add_string buf "null"
-  | Trace.J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | Trace.J_num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%g" f)
-  | Trace.J_str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
-  | Trace.J_arr vs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_json buf v)
-        vs;
-      Buffer.add_char buf ']'
-  | Trace.J_obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
-          add_json buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let json_line fields =
-  let buf = Buffer.create 128 in
-  add_json buf (Trace.J_obj fields);
-  Buffer.contents buf
+let json_line fields = Trace.print_json (Trace.J_obj fields)
 
 let request ~op ~id ?language ?machine ?source ?opt ?superopt ?microops ?lint
     ?diff ?validate ?listing ?engine ?fuel () =

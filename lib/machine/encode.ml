@@ -135,14 +135,6 @@ let word_to_hex (w : word) =
       done;
       "0123456789abcdef".[!v])
 
-let word_to_bitvec (w : word) =
-  if Array.length w > 64 then invalid_arg "Encode.word_to_bitvec: > 64 bits";
-  let v = ref 0L in
-  for i = Array.length w - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 1) (if w.(i) then 1L else 0L)
-  done;
-  Bitvec.of_int64 ~width:(Array.length w) !v
-
 (* -- disassembly ---------------------------------------------------------- *)
 
 (* A template matches a word when all its constant field settings equal the

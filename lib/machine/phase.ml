@@ -19,6 +19,69 @@ let reg file id =
     Diag.error Diag.Execution "microop references unknown register id %d" id;
   Array.unsafe_get file id
 
+(* What one action of a phase touches: the register ids and flag indices
+   it reads and writes, whether it accesses memory, and whether it can
+   raise for a reason the word itself names (an immediate destination or
+   an unknown register id). *)
+type access = {
+  reads : int list;
+  writes : int list;
+  rflags : int list;
+  wflags : int list;
+  mem : bool;
+  raises : bool;
+}
+
+let access (d : Desc.t) ((args : Inst.arg array), a) =
+  let ids names opnds =
+    List.map (fun n -> (Desc.get_reg d n).Desc.r_id) names
+    @ List.filter_map
+        (fun i ->
+          match args.(i) with Inst.A_reg r -> Some r | Inst.A_imm _ -> None)
+        opnds
+  in
+  let wr_names, wr_opnds = Rtl.action_writes a in
+  let reads = ids (Rtl.action_reads a) (Rtl.action_read_opnds a) in
+  let writes = ids wr_names wr_opnds in
+  let unknown r = r < 0 || r >= Array.length d.Desc.d_regs in
+  {
+    reads;
+    writes;
+    rflags = List.map Rtl.flag_index (Rtl.action_reads_flags a);
+    wflags = List.map Rtl.flag_index (Rtl.action_sets_flags a);
+    mem = Rtl.action_touches_memory a;
+    raises =
+      List.exists
+        (fun i ->
+          match args.(i) with Inst.A_imm _ -> true | Inst.A_reg _ -> false)
+        wr_opnds
+      || List.exists unknown reads
+      || List.exists unknown writes;
+  }
+
+let direct d ops =
+  let acts =
+    List.concat_map
+      (fun (op : Inst.op) ->
+        List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions)
+      ops
+  in
+  match List.map (access d) acts with
+  | [] | [ _ ] -> true
+  | _ :: rest as all ->
+      let disjoint xs ys = not (List.exists (fun x -> List.mem x ys) xs) in
+      let rec unobserved = function
+        | [] -> true
+        | a :: later ->
+            List.for_all
+              (fun b -> disjoint a.writes b.reads && disjoint a.wflags b.rflags)
+              later
+            && unobserved later
+      in
+      List.for_all (fun a -> not a.raises) all
+      && List.for_all (fun a -> not a.mem) rest
+      && unobserved all
+
 module type VALUE = sig
   type ctx
   type word

@@ -23,15 +23,30 @@
 
     The model is written once, here, over an abstract value domain.
     {!Sim} instantiates it with concrete {!Msl_bitvec.Bitvec} values and
-    {!Symexec} with hash-consed terms; {!Simc} compiles the same
-    discipline to closures over unboxed ints and is held to {!Sim} by
-    the differential oracle. *)
+    {!Symexec} with hash-consed terms.  {!Simc} keeps no copy of it: it
+    compiles only the phases {!direct} accepts, where running the
+    actions in order against the live state is the model, and hands
+    every word with any other phase to {!Sim}. *)
 
 val split : Desc.t -> Inst.op list -> Inst.op list array
 (** A word's ops grouped by phase: one entry per nonempty phase, in
     phase order, ops in word order within it.  Ops naming a phase the
     machine does not have never execute and are dropped.  Engines split
     each word once, not on every step. *)
+
+val direct : Desc.t -> Inst.op list -> bool
+(** [direct d ops] holds when running one phase's actions (one entry of
+    {!split}) in order, each writing the state as it goes, cannot be
+    told apart from the model: no action reads a register or flag that
+    an earlier action of the phase writes, and nothing can raise after
+    the first write.  The latter means that only the first action may
+    access memory (a fault there raises before anything is written, so
+    the model's discard still holds), and that no action of a
+    multi-action phase writes an immediate operand or names a register
+    id the machine does not have.  A phase of at most one action is
+    always direct.  An engine that runs a phase direct must still reject
+    RTL the model would reject while evaluating it (mismatched widths,
+    out-of-range slices) before it runs. *)
 
 val reg : 'a array -> int -> 'a
 (** [reg file id] is register [id] of a register file.

@@ -28,29 +28,20 @@
    interpreter-fallback step.
 
    Fidelity is the design constraint, not an afterthought: the engine
-   mutates the *same* [Sim.t] record through [Sim.Engine], reproduces the
-   phase model of [Phase] (including the commit order memory → registers
-   → flags and the partial-commit behaviour of a faulting phase), takes
-   its per-phase grouping from [Phase.split], shares the interpreter's
-   microtrap servicing, and falls back to [Sim.step] wholesale — shadow
-   file synced out and back — for any word containing [Int_ack] (the
+   mutates the *same* [Sim.t] record through [Sim.Engine], shares the
+   interpreter's microtrap servicing, and keeps no copy of the phase
+   model.  It compiles a word only when every one of its phases
+   ([Phase.split]) is one [Phase.direct] accepts — running the actions
+   in order straight against the shadow file is then the model, write
+   buffer and commit order included — and falls back to [Sim.step]
+   wholesale, shadow file synced out and back, for every other word:
+   any word with another phase, any word containing [Int_ack] (the
    interrupt-service boundary, so latency accounting is the
-   interpreter's own) or any word the static analysis cannot prove
+   interpreter's own), and any word the static analysis cannot prove
    int-representable (shifts and multiplies at widths above 62, runtime
    width mismatches, out-of-range slices, unknown register ids).  The
    differential oracle (test_engine_diff) holds the two engines to
-   byte-identical [Sim.state_digest]s over the whole corpus.
-
-   Two phase shapes are compiled natively:
-
-   - Direct: a phase whose actions provably cannot observe each other's
-     writes (single action, or pairwise write/read-disjoint with no
-     memory access and no raising destination) executes straight against
-     the shadow file, with no write buffer.  This covers the hot kernels.
-   - Buffered: anything else gets the phase model's own discipline — run
-     the actions into a preallocated write buffer, reading the live
-     shadow file (nothing is written until the commit, so it still holds
-     the phase-start values), then commit in order. *)
+   byte-identical [Sim.state_digest]s over the whole corpus. *)
 
 open Msl_bitvec
 module Diag = Msl_util.Diag
@@ -101,23 +92,6 @@ let hi_fn v = match v.hi with Some f -> f | None -> fun () -> 0
 (* a plain computed value: no cells, not constant *)
 let mk w lo hi = { w; lo; lo_c = None; hi; hi_c = None; k = None }
 
-(* Preallocated per-engine write buffer: the buffered path's lists,
-   flattened into arrays so the hot loop allocates nothing (memory writes
-   excepted — they carry a bitvector for [Memory.write], one small
-   allocation on a path that is rare by construction). *)
-type wbuf = {
-  mutable n_regs : int;
-  reg_ids : int array;
-  reg_los : int array;
-  reg_his : int array;
-  mutable n_flags : int;
-  flag_ids : int array;
-  flag_vals : bool array;
-  mutable n_mem : int;
-  mem_addrs : int array;
-  mem_vals : Bitvec.t array;
-}
-
 type t = {
   sim : Sim.t;
   code : (unit -> unit) array;
@@ -126,7 +100,6 @@ type t = {
   ints : int array;  (* shadow register file, bits 0..61 *)
   his : int array;  (* shadow register file, bits 62.. (wide regs only) *)
   widths : int array;  (* per-register widths, for the sync-out *)
-  wb : wbuf;
   use_int : bool;
       (* false when a register or the memory word exceeds 64 bits: every
          word then runs through the interpreter fallback and the shadow
@@ -268,11 +241,11 @@ let resize_value ~w (v : value) : value =
 
 (* -- expression compilation ---------------------------------------------- *)
 
-(* Register and flag reads come from the live shadow file on both
-   paths: a buffered phase writes nothing until its commit, so the live
-   values are the phase-start values.  A construct whose interpretation
-   would raise at runtime (width mismatch, bad slice, unknown register)
-   is [Unsupported]: the enclosing word falls back to the interpreter,
+(* Register and flag reads come from the live shadow file: in a direct
+   phase no action reads what an earlier one wrote, so the live values
+   are the phase-start values.  A construct whose interpretation would
+   raise at runtime (width mismatch, bad slice, unknown register) is
+   [Unsupported]: the enclosing word falls back to the interpreter,
    which raises identically. *)
 let rec compile_expr e (args : Inst.arg array) (e0 : Rtl.expr) : value =
   let ce = compile_expr e args in
@@ -509,30 +482,7 @@ let compile_cond e (c : Desc.cond) : unit -> bool =
         loop 0
   | Desc.C_int_pending -> fun () -> Sim.Engine.poll_int_pending s
 
-(* -- write-buffer primitives --------------------------------------------- *)
-
-let push_reg wb id lo hi =
-  wb.reg_ids.(wb.n_regs) <- id;
-  wb.reg_los.(wb.n_regs) <- lo;
-  wb.reg_his.(wb.n_regs) <- hi;
-  wb.n_regs <- wb.n_regs + 1
-
-let push_flag wb i b =
-  wb.flag_ids.(wb.n_flags) <- i;
-  wb.flag_vals.(wb.n_flags) <- b;
-  wb.n_flags <- wb.n_flags + 1
-
-let push_mem wb a v =
-  wb.mem_addrs.(wb.n_mem) <- a;
-  wb.mem_vals.(wb.n_mem) <- v;
-  wb.n_mem <- wb.n_mem + 1
-
 (* -- ALU operations ------------------------------------------------------ *)
-
-(* Where an operation's flags go: straight into the live flag array on
-   the direct path, into the write buffer on the buffered one, nowhere
-   for the no-flag template forms. *)
-type fsink = F_none | F_direct of bool array | F_buf of wbuf
 
 (* carry, overflow, zero, negative, shifted_out packed into bits 0..4 of
    one int — a single-argument call, which OCaml dispatches directly (a
@@ -580,32 +530,24 @@ let with_pre pres core =
    flags, computed against the same formulas as [Bitvec.adc] / [mul_f] /
    [shift_left_f] / [shift_right_f] — the differential oracle
    cross-checks them over the corpus.  [a]/[b] are already resized to
-   [w]; the carry-in is read live from [flags].  The result is stored to
-   [dlo]/[dhi] at index [di] — the shadow file itself on the direct
-   path, a scratch slot the caller then pushes on the buffered one — so
+   [w]; the carry-in is read live from [flags], and with [set_flags] the
+   five result flags are written back to it (the no-flag template forms
+   leave it alone).  The result is stored to [dlo]/[dhi] at index [di] —
+   the shadow file itself, or a dead slot for a flags-only action — so
    register/constant operands, the ALU body and the destination store
    all fuse into one closure with no operand calls.  Shifts, rotates and
    multiplies wider than the low part go to the fallback. *)
 let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
-    (flags : bool array) (fs : fsink) ~(dlo : int array) ~(dhi : int array)
+    (flags : bool array) ~set_flags ~(dlo : int array) ~(dhi : int array)
     ~(di : int) : unit -> unit =
   let emit =
-    match fs with
-    | F_none -> fun _ -> ()
-    | F_direct fl ->
-        fun p ->
-          fl.(0) <- p land 1 <> 0;
-          fl.(1) <- p land 2 <> 0;
-          fl.(2) <- p land 4 <> 0;
-          fl.(3) <- p land 8 <> 0;
-          fl.(4) <- p land 16 <> 0
-    | F_buf wb ->
-        fun p ->
-          push_flag wb 0 (p land 1 <> 0);
-          push_flag wb 1 (p land 2 <> 0);
-          push_flag wb 2 (p land 4 <> 0);
-          push_flag wb 3 (p land 8 <> 0);
-          push_flag wb 4 (p land 16 <> 0)
+    if set_flags then fun p ->
+      flags.(0) <- p land 1 <> 0;
+      flags.(1) <- p land 2 <> 0;
+      flags.(2) <- p land 4 <> 0;
+      flags.(3) <- p land 8 <> 0;
+      flags.(4) <- p land 16 <> 0
+    else fun _ -> ()
   in
   if w <= 62 then begin
     let m = mask_of w in
@@ -770,13 +712,11 @@ let bitvec_of_value (v : value) () =
          (Int64.of_int (v.lo ()))
          (Int64.shift_left (Int64.of_int (hi_fn v ())) 62))
 
-(* Compile one RTL action.  [buf = None] writes straight to the shadow
-   file; [buf = Some wb] appends to the engine's write buffer (committed
-   by the phase runner).  Evaluation order — destination resolution
+(* Compile one RTL action of a direct phase: it reads and writes the
+   shadow file in place.  Evaluation order — destination resolution
    first, then operands — matches the interpreter's, so a
    writes-to-immediate diagnostic fires at the same point. *)
-let compile_action e (args : Inst.arg array) (a : Rtl.action)
-    ~(buf : wbuf option) : unit -> unit =
+let compile_action e (args : Inst.arg array) (a : Rtl.action) : unit -> unit =
   let s = e.sim in
   let d = Sim.desc s in
   let ints = e.ints and his = e.his in
@@ -793,65 +733,45 @@ let compile_action e (args : Inst.arg array) (a : Rtl.action)
             Some r
         | Inst.A_imm _ -> None)
   in
-  let fsink_of buf : fsink =
-    match buf with None -> F_direct flags | Some wb -> F_buf wb
-  in
   (* store a value (already resized to the register's width); a celled
      source compiles to a direct load/store pair *)
   let write_value id (v : value) =
-    let wide = reg_width d id > 62 in
-    match buf with
-    | None -> (
-        if not wide then
-          match v.lo_c with
-          | Some c ->
-              let a = c.arr and i = c.idx in
-              fun () -> ints.(id) <- a.(i)
-          | None ->
-              let f = v.lo in
-              fun () -> ints.(id) <- f ()
-        else
-          match (v.lo_c, v.hi_c) with
-          | Some cl, Some ch ->
-              let la = cl.arr and li = cl.idx in
-              let ha = ch.arr and hi = ch.idx in
-              fun () ->
-                ints.(id) <- la.(li);
-                his.(id) <- ha.(hi)
-          | _ ->
-              let fl = v.lo and fh = hi_fn v in
-              fun () ->
-                ints.(id) <- fl ();
-                his.(id) <- fh ())
-    | Some wb ->
-        if not wide then
+    if reg_width d id <= 62 then
+      match v.lo_c with
+      | Some c ->
+          let a = c.arr and i = c.idx in
+          fun () -> ints.(id) <- a.(i)
+      | None ->
           let f = v.lo in
-          fun () -> push_reg wb id (f ()) 0
-        else
+          fun () -> ints.(id) <- f ()
+    else
+      match (v.lo_c, v.hi_c) with
+      | Some cl, Some ch ->
+          let la = cl.arr and li = cl.idx in
+          let ha = ch.arr and hi = ch.idx in
+          fun () ->
+            ints.(id) <- la.(li);
+            his.(id) <- ha.(hi)
+      | _ ->
+          (* both parts are computed before either is stored: the high
+             part may read the destination's low half *)
           let fl = v.lo and fh = hi_fn v in
-          fun () -> push_reg wb id (fl ()) (fh ())
+          fun () ->
+            let lo = fl () in
+            let hi = fh () in
+            ints.(id) <- lo;
+            his.(id) <- hi
   in
   (* the arithmetic family shares dest resolution and operand resizing;
-     on the direct path the ALU closure stores straight into the shadow
-     file, on the buffered one into a private scratch slot that is then
-     pushed *)
-  let arith dst op e1 e2 fs =
+     the ALU closure stores straight into the shadow file *)
+  let arith dst op e1 e2 ~set_flags =
     let v1 = ce e1 and v2 = ce e2 in
     match dest dst with
     | None -> fun () -> invalid_dest ()
-    | Some id -> (
+    | Some id ->
         let w = reg_width d id in
         let a = resize_value ~w v1 and b = resize_value ~w v2 in
-        match buf with
-        | None -> compile_abinop op ~w a b flags fs ~dlo:ints ~dhi:his ~di:id
-        | Some wb ->
-            let rl = [| 0 |] and rh = [| 0 |] in
-            let run =
-              compile_abinop op ~w a b flags fs ~dlo:rl ~dhi:rh ~di:0
-            in
-            fun () ->
-              run ();
-              push_reg wb id rl.(0) rh.(0))
+        compile_abinop op ~w a b flags ~set_flags ~dlo:ints ~dhi:his ~di:id
   in
   match a with
   | Rtl.Int_ack ->
@@ -862,184 +782,76 @@ let compile_action e (args : Inst.arg array) (a : Rtl.action)
       match dest dst with
       | None -> fun () -> invalid_dest ()
       | Some id -> write_value id (resize_value ~w:(reg_width d id) v))
-  | Rtl.Arith (dst, op2, e1, e2) -> arith dst op2 e1 e2 (fsink_of buf)
-  | Rtl.Arith_nf (dst, op2, e1, e2) -> arith dst op2 e1 e2 F_none
+  | Rtl.Arith (dst, op2, e1, e2) -> arith dst op2 e1 e2 ~set_flags:true
+  | Rtl.Arith_nf (dst, op2, e1, e2) -> arith dst op2 e1 e2 ~set_flags:false
   | Rtl.Arith_flags (op2, e1, e2) ->
       (* flags-only: the left operand keeps its natural width, the right
          is resized to it, the result is dropped into a dead slot *)
       let v1 = ce e1 and v2 = ce e2 in
       let rl = [| 0 |] and rh = [| 0 |] in
       compile_abinop op2 ~w:v1.w v1 (resize_value ~w:v1.w v2) flags
-        (fsink_of buf) ~dlo:rl ~dhi:rh ~di:0
+        ~set_flags:true ~dlo:rl ~dhi:rh ~di:0
   | Rtl.Mem_read (dst, addr) -> (
       (* the interpreter computes the address as [to_int (resize 62 a)];
          a celled address (a register) is loaded directly *)
       let va = resize_value ~w:62 (ce addr) in
       match dest dst with
       | None -> fun () -> invalid_dest ()
-      | Some id -> (
+      | Some id ->
           let w = reg_width d id in
           let aa, ai, apre = spill va.lo va.lo_c in
+          let wide = w > 62 in
           if mem_w <= 62 then begin
             let m = mask_of (min w mem_w) in
             let rd () =
-              let v =
-                Int64.to_int (Memory.read_int64 mem aa.(ai))
-              in
+              let v = Int64.to_int (Memory.read_int64 mem aa.(ai)) in
               if mem_w > w then v land m else v
             in
-            let wide = w > 62 in
             with_pre [ apre ]
-              (match buf with
-              | None ->
-                  if not wide then fun () -> ints.(id) <- rd ()
-                  else
-                    fun () ->
-                      ints.(id) <- rd ();
-                      his.(id) <- 0
-              | Some wb -> fun () -> push_reg wb id (rd ()) 0)
+              (if not wide then fun () -> ints.(id) <- rd ()
+               else fun () ->
+                 ints.(id) <- rd ();
+                 his.(id) <- 0)
           end
           else begin
             (* 64-bit memory words: split the read like a register *)
-            let mh = if w > 62 then mask_of (w - 62) else 0 in
+            let mh = if wide then mask_of (w - 62) else 0 in
             let ml = if w < 62 then mask_of w else m62 in
-            let rd () =
-              let v64 = Memory.read_int64 mem aa.(ai) in
-              let lo = Int64.to_int (Int64.logand v64 m62_64) land ml in
-              let hi =
-                if w <= 62 then 0
-                else Int64.to_int (Int64.shift_right_logical v64 62) land mh
-              in
-              (lo, hi)
-            in
-            let wide = w > 62 in
             with_pre [ apre ]
-              (match buf with
-              | None ->
-                  if not wide then
-                    fun () ->
-                      let lo, _ = rd () in
-                      ints.(id) <- lo
-                  else
-                    fun () ->
-                      let lo, hi = rd () in
-                      ints.(id) <- lo;
-                      his.(id) <- hi
-              | Some wb ->
-                  fun () ->
-                    let lo, hi = rd () in
-                    push_reg wb id lo hi)
-          end))
-  | Rtl.Mem_write (addr, value) -> (
+              (if not wide then fun () ->
+                 ints.(id) <-
+                   Int64.to_int
+                     (Int64.logand (Memory.read_int64 mem aa.(ai)) m62_64)
+                   land ml
+               else fun () ->
+                 let v64 = Memory.read_int64 mem aa.(ai) in
+                 ints.(id) <- Int64.to_int (Int64.logand v64 m62_64) land ml;
+                 his.(id) <-
+                   Int64.to_int (Int64.shift_right_logical v64 62) land mh)
+          end)
+  | Rtl.Mem_write (addr, value) ->
       let va = resize_value ~w:62 (ce addr) in
       let v = ce value in
       let aa, ai, apre = spill va.lo va.lo_c in
       let to_bv = bitvec_of_value v in
-      with_pre [ apre ]
-        (match buf with
-        | None -> fun () -> Memory.write mem aa.(ai) (to_bv ())
-        | Some wb -> fun () -> push_mem wb aa.(ai) (to_bv ())))
-  | Rtl.Set_flag (f, ex) -> (
+      with_pre [ apre ] (fun () -> Memory.write mem aa.(ai) (to_bv ()))
+  | Rtl.Set_flag (f, ex) ->
       let i = Rtl.flag_index f in
-      let v = ce ex in
-      let fe = v.lo in
-      match buf with
-      | None -> fun () -> flags.(i) <- fe () land 1 = 1
-      | Some wb -> fun () -> push_flag wb i (fe () land 1 = 1))
+      let fe = (ce ex).lo in
+      fun () -> flags.(i) <- fe () land 1 = 1
 
-(* -- phase classification ------------------------------------------------ *)
+(* -- phases --------------------------------------------------------------- *)
 
-let ids_of d (args : Inst.arg array) names opnds =
-  List.map (fun n -> (Desc.get_reg d n).Desc.r_id) names
-  @ List.filter_map
-      (fun i ->
-        match args.(i) with Inst.A_reg r -> Some r | Inst.A_imm _ -> None)
-      opnds
-
-(* A multi-action phase may run directly (reads against the live shadow
-   file, writes committed immediately) only when the transport-delay
-   semantics is unobservable: no action reads a register or flag an
-   earlier action writes, nothing touches memory (faults must discard
-   the phase), and every destination is valid (an invalid one raises
-   mid-phase, which must not leave earlier direct writes behind that the
-   buffered interpreter would have discarded). *)
-let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
-  let info =
-    List.map
-      (fun (args, a) ->
-        let wr_names, wr_opnds = Rtl.action_writes a in
-        let bad_dest =
-          List.exists
-            (fun i ->
-              match args.(i) with Inst.A_imm _ -> true | Inst.A_reg _ -> false)
-            wr_opnds
-        in
-        let reads =
-          ids_of d args (Rtl.action_reads a) (Rtl.action_read_opnds a)
-        in
-        let writes = ids_of d args wr_names wr_opnds in
-        let rflags = List.map Rtl.flag_index (Rtl.action_reads_flags a) in
-        let wflags = List.map Rtl.flag_index (Rtl.action_sets_flags a) in
-        (bad_dest, Rtl.action_touches_memory a, reads, writes, rflags, wflags))
-      acts
-  in
-  let rec ok = function
-    | [] -> true
-    | (bad, mem, _, writes, _, wflags) :: later ->
-        (not bad) && (not mem)
-        && List.for_all
-             (fun (_, _, reads, _, rflags, _) ->
-               (not (List.exists (fun w -> List.mem w reads) writes))
-               && not (List.exists (fun w -> List.mem w rflags) wflags))
-             later
-        && ok later
-  in
-  ok info
-
-(* One phase of one word: either the direct fast path or the full
-   buffer-and-commit discipline (commit order: memory — which can still
-   fault, leaving earlier memory writes committed exactly as the
-   interpreter does — then registers, then flags).  Returns the phase's
-   runner closures: a direct phase contributes one closure per action
-   (the word closure splices them in without a per-phase wrapper), a
-   buffered phase one closure for the whole discipline. *)
-let compile_phase e (acts : (Inst.arg array * Rtl.action) list) :
-    (unit -> unit) list =
-  let s = e.sim in
-  let ints = e.ints and his = e.his in
-  match acts with
-  | [ (args, a) ] -> [ compile_action e args a ~buf:None ]
-  | _ when direct_ok (Sim.desc s) acts ->
-      List.map (fun (args, a) -> compile_action e args a ~buf:None) acts
-  | _ ->
-      let wb = e.wb in
-      let fns =
-        Array.of_list
-          (List.map
-             (fun (args, a) -> compile_action e args a ~buf:(Some wb))
-             acts)
-      in
-      let mem = Sim.memory s in
-      let flags = Sim.Engine.flags s in
-      [
-        (fun () ->
-          wb.n_regs <- 0;
-          wb.n_flags <- 0;
-          wb.n_mem <- 0;
-          for i = 0 to Array.length fns - 1 do
-            fns.(i) ()
-          done;
-          for i = 0 to wb.n_mem - 1 do
-            Memory.write mem wb.mem_addrs.(i) wb.mem_vals.(i)
-          done;
-          for i = 0 to wb.n_regs - 1 do
-            ints.(wb.reg_ids.(i)) <- wb.reg_los.(i);
-            his.(wb.reg_ids.(i)) <- wb.reg_his.(i)
-          done;
-          for i = 0 to wb.n_flags - 1 do
-            flags.(wb.flag_ids.(i)) <- wb.flag_vals.(i)
-          done);
-      ]
+(* One phase of one word, one closure per action (the word closure
+   splices them in without a per-phase wrapper).  Only a phase that
+   [Phase.direct] accepts compiles; any other makes the word
+   [Unsupported], so the interpreter's phase model runs it. *)
+let compile_phase e (ops : Inst.op list) : (unit -> unit) list =
+  if not (Phase.direct (Sim.desc e.sim) ops) then raise Unsupported;
+  List.concat_map
+    (fun (op : Inst.op) ->
+      List.map (compile_action e op.Inst.op_args) op.Inst.op_t.Desc.t_actions)
+    ops
 
 (* -- sequencing ---------------------------------------------------------- *)
 
@@ -1118,9 +930,11 @@ let word_has_int_ack (inst : Inst.t) =
 
 (* One interpreter step with the shadow file synced out and back.  Used
    for Int_ack words (the interpreter owns acknowledgement, latency
-   accounting and its own interrupt delivery) and for words the static
-   analysis rejected (the interpreter reproduces their semantics —
-   including their runtime diagnostics — exactly).  A raising step still
+   accounting and its own interrupt delivery), for words with a phase
+   [Phase.direct] rejects (the interpreter runs the phase model itself)
+   and for words the static analysis rejected (the interpreter
+   reproduces their semantics — including their runtime diagnostics —
+   exactly).  A raising step still
    syncs back in, so the interpreter-visible partial state survives the
    run's final sync-out. *)
 let fallback_word e =
@@ -1135,21 +949,12 @@ let fallback_word e =
     sync_in e;
     if not (Sim.Engine.halted s) then relink e
 
-(* A word's phases ([Phase.split]), each flattened to its actions paired
-   with their op's operands. *)
-let word_phases d (inst : Inst.t) =
-  Array.map
-    (List.concat_map (fun (op : Inst.op) ->
-         List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions))
-    (Phase.split d inst.Inst.ops)
-
-let compile_native e i (inst : Inst.t) phases =
+let compile_native e i (inst : Inst.t) =
   let s = e.sim in
   let runners =
     Array.of_list
-      (List.concat_map
-         (function [] -> [] | acts -> compile_phase e acts)
-         (Array.to_list phases))
+      (List.concat_map (compile_phase e)
+         (Array.to_list (Phase.split (Sim.desc s) inst.Inst.ops)))
   in
   let extra = 1 + Inst.inst_extra_cycles inst in
   let touches_mem = List.exists Inst.op_touches_memory inst.Inst.ops in
@@ -1327,13 +1132,13 @@ let compile_native e i (inst : Inst.t) phases =
             Sim.Engine.bump_insts s;
             seq ()
 
-let compile_word e i (inst : Inst.t) phases =
+let compile_word e i (inst : Inst.t) =
   if (not e.use_int) || word_has_int_ack inst then begin
     e.n_fallback <- e.n_fallback + 1;
     fallback_word e
   end
   else
-    match compile_native e i inst phases with
+    match compile_native e i inst with
     | w ->
         e.n_native <- e.n_native + 1;
         w
@@ -1361,16 +1166,6 @@ let translate (s : Sim.t) =
     Array.for_all (fun w -> w <= 64) widths
     && Memory.word_width (Sim.memory s) <= 64
   in
-  (* capacity: the largest action count of any single phase bounds every
-     write-buffer use (each action contributes at most one register
-     write, five flag writes, one memory write) *)
-  let phases = Array.map (word_phases d) store in
-  let cap =
-    Array.fold_left
-      (Array.fold_left (fun m acts -> max m (List.length acts)))
-      1 phases
-  in
-  let dummy = Bitvec.zero 1 in
   let e =
     {
       sim = s;
@@ -1378,19 +1173,6 @@ let translate (s : Sim.t) =
       ints = Array.make nregs 0;
       his = Array.make nregs 0;
       widths;
-      wb =
-        {
-          n_regs = 0;
-          reg_ids = Array.make cap 0;
-          reg_los = Array.make cap 0;
-          reg_his = Array.make cap 0;
-          n_flags = 0;
-          flag_ids = Array.make (5 * cap) 0;
-          flag_vals = Array.make (5 * cap) false;
-          n_mem = 0;
-          mem_addrs = Array.make cap 0;
-          mem_vals = Array.make cap dummy;
-        };
       use_int;
       next_pc = 0;
       bad_pc = 0;
@@ -1400,7 +1182,7 @@ let translate (s : Sim.t) =
     }
   in
   Array.iteri
-    (fun i inst -> e.code.(i) <- compile_word e i inst phases.(i))
+    (fun i inst -> e.code.(i) <- compile_word e i inst)
     store;
   (* the sentinel slot: an out-of-range target parked here raises on its
      step, after the same interrupt delivery the interpreter would do *)

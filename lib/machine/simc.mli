@@ -6,12 +6,14 @@
     resolved at translation time — and dispatches direct-threaded
     through a mutable next-word index.  Semantics are the interpreter's,
     bit for bit: the engine mutates the same {!Sim.t} (via
-    [Sim.Engine]), preserves the {!Phase} model and its commit order,
-    shares the microtrap servicing, and falls back to {!Sim.step} for any
-    word containing [Int_ack] (the interrupt-service boundary) and for
-    any word it cannot prove int-representable.  The
-    differential oracle in [test/test_engine_diff.ml] holds both
-    engines to byte-identical {!Sim.state_digest}s.
+    [Sim.Engine]) and shares the microtrap servicing.  It keeps no copy
+    of the {!Phase} model: it compiles a word only when {!Phase.direct}
+    accepts every one of its phases, and falls back to {!Sim.step} for
+    any other word, for any word containing [Int_ack] (the
+    interrupt-service boundary) and for any word it cannot prove
+    int-representable.  The differential oracle in
+    [test/test_engine_diff.ml] holds both engines to byte-identical
+    {!Sim.state_digest}s.
 
     Typical use: [Toolkit.load] a program, {!translate} once, then
     {!run} — and {!Sim.reset} + {!run} again without re-paying
@@ -37,5 +39,6 @@ val native_words : t -> int
 (** Words compiled to native closures. *)
 
 val fallback_words : t -> int
-(** Words delegated to {!Sim.step}: interrupt-service boundaries and
-    words the translator cannot compile natively. *)
+(** Words delegated to {!Sim.step}: interrupt-service boundaries, words
+    with a phase {!Phase.direct} rejects, and words the translator
+    cannot prove int-representable. *)

@@ -149,12 +149,12 @@ let with_span ?(args = []) ~cat name f =
 let timed ?(args = []) ~cat name f =
   let tracing = Atomic.get flag in
   if tracing then emit ~ph:"B" ~cat ~name ~args;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let finally () =
     if tracing then emit ~ph:"E" ~cat ~name ~args:[]
   in
   let v = Fun.protect ~finally f in
-  (v, (Unix.gettimeofday () -. t0) *. 1000.)
+  (v, Clock.elapsed_s t0 *. 1000.)
 
 let counter ~cat name v =
   if Atomic.get flag then emit ~ph:"C" ~cat ~name ~args:[ ("value", A_int v) ]
@@ -171,6 +171,42 @@ type json =
   | J_str of string
   | J_arr of json list
   | J_obj of (string * json) list
+
+let rec add_json buf = function
+  | J_null -> Buffer.add_string buf "null"
+  | J_bool b -> Buffer.add_string buf (string_of_bool b)
+  | J_num f ->
+      if Float.is_integer f && Float.abs f < 1e15 then
+        Buffer.add_string buf (Printf.sprintf "%.0f" f)
+      else Buffer.add_string buf (Printf.sprintf "%g" f)
+  | J_str s ->
+      Buffer.add_char buf '"';
+      escape buf s;
+      Buffer.add_char buf '"'
+  | J_arr vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_json buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | J_obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape buf k;
+          Buffer.add_string buf "\":";
+          add_json buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let print_json v =
+  let buf = Buffer.create 128 in
+  add_json buf v;
+  Buffer.contents buf
 
 exception Bad of string
 

@@ -52,9 +52,9 @@ val with_span :
 
 val timed :
   ?args:(string * arg) list -> cat:string -> string -> (unit -> 'a) -> 'a * float
-(** Like {!with_span} but also return the elapsed wall-clock
-    milliseconds, measured whether or not tracing is enabled (the pass
-    manager's timing lists are built from this). *)
+(** Like {!with_span} but also return the elapsed milliseconds on the
+    monotonic clock ({!Clock}), measured whether or not tracing is
+    enabled (the pass manager's timing lists are built from this). *)
 
 val counter : cat:string -> string -> int -> unit
 (** Emit the current value of a counter.  Values of one counter name
@@ -81,6 +81,13 @@ type json =
 
 val parse_json : string -> (json, string) result
 (** Parse one complete JSON value (rejecting trailing garbage). *)
+
+val print_json : json -> string
+(** One value on one line, without whitespace, in the form {!parse_json}
+    reads back.  Strings escape the double quote, the backslash, newline,
+    carriage return and tab, and write any other control character as a
+    [\u] escape.  A number that is an integer below 1e15 prints without
+    a fraction, any other number as [%g]. *)
 
 type event = {
   ev_seq : int;  (** global emission order, strictly increasing *)

@@ -63,6 +63,24 @@ let engines_agree ?setup ?trap_mode ?fuel what c =
   let compiled = outcome ~engine:Toolkit.Compiled ?setup ?trap_mode ?fuel c in
   Alcotest.(check string) what interp compiled
 
+(* Every word of the corpus compiles natively: each of its phases is one
+   [Phase.direct] accepts, and its RTL fits the int fast path.  The one
+   exception is cascade.simpl on H1, whose 64-bit [shlf] is wider than
+   the 62-bit int path.  A narrower [Phase.direct] (say, without its
+   memory-first case, which V11's [rd | add] word needs) shows here as
+   fallback words the parent did not have. *)
+let int_path_exceptions = [ ("cascade.simpl", "H1", 1) ]
+
+let check_native what ?(name = "") (d : Desc.t) c =
+  let expect =
+    List.fold_left
+      (fun acc (n, m, k) -> if n = name && m = d.Desc.d_name then k else acc)
+      0 int_path_exceptions
+  in
+  Alcotest.(check int)
+    (what ^ ": fallback words") expect
+    (Simc.fallback_words (Simc.translate (Toolkit.load c)))
+
 (* -- the example corpus -------------------------------------------------- *)
 
 let machines_of = function
@@ -104,10 +122,12 @@ let test_examples () =
               let c =
                 Toolkit.compile ~options:(opt_options level) lang d src
               in
-              engines_agree
-                (Printf.sprintf "examples/%s on %s -O%d" name d.Desc.d_name
-                   level)
-                c)
+              let what =
+                Printf.sprintf "examples/%s on %s -O%d" name d.Desc.d_name
+                  level
+              in
+              check_native what ~name d c;
+              engines_agree what c)
             [ 0; 1 ])
         (machines_of lang))
     example_corpus
@@ -138,9 +158,9 @@ let test_kernels () =
       List.iter
         (fun (d : Desc.t) ->
           let c = Toolkit.compile lang d src in
-          engines_agree
-            (Printf.sprintf "%s on %s" name d.Desc.d_name)
-            ~setup c;
+          let what = Printf.sprintf "%s on %s" name d.Desc.d_name in
+          check_native what d c;
+          engines_agree what ~setup c;
           (* stopping mid-kernel must leave both engines in the same
              place: fuel accounting is part of the contract (the drivers
              turn Out_of_fuel into an exit code) *)
@@ -162,6 +182,65 @@ let test_handcoded () =
       ("mpy_h1", Machines.h1, Handcoded.mpy_h1, Some mpy_setup);
       ("dot_hp3", Machines.hp3, Handcoded.dot_hp3, Some dot_setup);
     ]
+
+(* A single HP3 word that swaps two registers: [mov] and [or] both run
+   in phase 0, each reading what the other writes.  [Phase.direct]
+   rejects that phase, so Simc hands the word to the interpreter's phase
+   model; both engines must still swap. *)
+let test_swap_word () =
+  let c =
+    Toolkit.assemble Machines.hp3
+      "  [ mov R1, R2 | or R2, R1, R1 ]\n  [ ] -> halt\n"
+  in
+  let e = Simc.translate (Toolkit.load c) in
+  Alcotest.(check int) "the swap word falls back" 1 (Simc.fallback_words e);
+  Alcotest.(check int) "the halt word is native" 1 (Simc.native_words e);
+  let setup sim =
+    Sim.set_reg_int sim "R1" 5;
+    Sim.set_reg_int sim "R2" 9
+  in
+  engines_agree "swap word" ~setup c;
+  let sim = Toolkit.load c in
+  setup sim;
+  ignore (Toolkit.exec ~engine:Toolkit.Compiled ~fuel:10 sim);
+  Alcotest.(check (pair int int))
+    "R1 and R2 swapped" (9, 5)
+    ( Msl_bitvec.Bitvec.to_int (Sim.get_reg sim "R1"),
+      Msl_bitvec.Bitvec.to_int (Sim.get_reg sim "R2") )
+
+(* One action whose high half reads the destination's low half: on the
+   64-bit H1, R1 := R1 + 1 finds the carry into bit 62 by recomputing
+   the low sum.  An action reads the state before it writes it, so
+   R1 = 2^62 - 1 must become 2^62 on both engines. *)
+let test_wide_self_update () =
+  let d = Machines.h1 in
+  let r1 = (Desc.get_reg d "R1").Desc.r_id in
+  let mov = Inst.make d "mov" [ Inst.A_reg r1; Inst.A_reg r1 ] in
+  let one = Msl_bitvec.Bitvec.of_int ~width:64 1 in
+  let inc =
+    {
+      mov with
+      Inst.op_t =
+        {
+          mov.Inst.op_t with
+          Desc.t_actions =
+            [ Rtl.Assign (Rtl.D_opnd 0, Rtl.Add (Rtl.Opnd 1, Rtl.Const one)) ];
+        };
+    }
+  in
+  let run engine =
+    let sim = Sim.create d in
+    Sim.load_store sim [ { Inst.ops = [ inc ]; next = Inst.Halt } ];
+    Sim.set_reg_int sim "R1" ((1 lsl 62) - 1);
+    ignore (Toolkit.exec ~engine ~fuel:10 sim);
+    sim
+  in
+  let interp = run Toolkit.Interp and compiled = run Toolkit.Compiled in
+  Alcotest.(check int64)
+    "R1 = 2^62" (Int64.shift_left 1L 62)
+    (Msl_bitvec.Bitvec.to_int64 (Sim.get_reg compiled "R1"));
+  Alcotest.(check string)
+    "same state" (Sim.state_digest interp) (Sim.state_digest compiled)
 
 (* -- seeded generator corpus --------------------------------------------- *)
 
@@ -262,7 +341,69 @@ let test_microtraps () =
     ~setup:absent_setup c;
   (* Fault_is_error: both engines surface the same located diagnostic *)
   engines_agree "dot with absent pages, Fault_is_error"
-    ~trap_mode:Sim.Fault_is_error ~setup:absent_setup c
+    ~trap_mode:Sim.Fault_is_error ~setup:absent_setup c;
+  (* V11's dot kernel reads memory in a word that also adds into ACC:
+     [rd | add R1, R12], one phase, the read first.  The fault at [rd]
+     must discard the phase, so neither engine may leave the add's ACC
+     or flags behind. *)
+  let d = Machines.v11 in
+  let c = Toolkit.compile Toolkit.Yalll d Handcoded.yalll_dot in
+  let acc_flags sim =
+    Printf.sprintf "ACC=%d flags=%s"
+      (Msl_bitvec.Bitvec.to_int (Sim.get_reg sim "ACC"))
+      (String.concat ""
+         (List.map
+            (fun f -> if Sim.get_flag sim f then "1" else "0")
+            Rtl.all_flags))
+  in
+  (* the interpreter, stepped up to the faulting word: how many steps
+     that takes, and ACC and the flags before it *)
+  let k =
+    match
+      List.find_index
+        (fun (w : Inst.t) ->
+          List.exists Inst.op_touches_memory w.Inst.ops
+          && List.exists
+               (fun (o : Inst.op) ->
+                 Inst.op_writes d o = [ (Desc.get_reg d "ACC").Desc.r_id ])
+               w.Inst.ops)
+        c.Toolkit.c_insts
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "V11 dot has no memory word writing ACC"
+  in
+  let ref_sim = Toolkit.load c in
+  absent_setup ref_sim;
+  let steps = ref 0 in
+  while Sim.pc ref_sim <> k && !steps < 1000 do
+    Sim.step ref_sim;
+    incr steps
+  done;
+  Alcotest.(check int) "the run reaches the word" k (Sim.pc ref_sim);
+  Alcotest.(check int) "no trap before the word" 0 (Sim.traps_taken ref_sim);
+  let before = acc_flags ref_sim in
+  (* the add alone would change ACC: R1 + R12 is not what ACC holds *)
+  Alcotest.(check bool)
+    "the add would write ACC" true
+    (Msl_bitvec.Bitvec.to_int (Sim.get_reg ref_sim "R1")
+     + Msl_bitvec.Bitvec.to_int (Sim.get_reg ref_sim "R12")
+    <> Msl_bitvec.Bitvec.to_int (Sim.get_reg ref_sim "ACC"));
+  List.iter
+    (fun (mode, mname) ->
+      engines_agree ("V11 dot with absent pages, " ^ mname) ~trap_mode:mode
+        ~setup:absent_setup c;
+      List.iter
+        (fun engine ->
+          let sim = Toolkit.load ~trap_mode:mode c in
+          absent_setup sim;
+          (match Toolkit.exec ~engine ~fuel:(!steps + 1) sim with
+          | _ -> ()
+          | exception Diag.Error _ -> ());
+          Alcotest.(check string)
+            (Printf.sprintf "V11 dot, %s: ACC and flags after the fault" mname)
+            before (acc_flags sim))
+        [ Toolkit.Interp; Toolkit.Compiled ])
+    [ (Sim.Restart, "Restart"); (Sim.Fault_is_error, "Fault_is_error") ]
 
 (* -- one translation, many runs (the Sim.reset contract) ------------------ *)
 
@@ -367,6 +508,10 @@ let () =
             `Quick test_kernels;
           Alcotest.test_case "hand-assembled reference microcode" `Quick
             test_handcoded;
+          Alcotest.test_case "a one-phase register swap falls back" `Quick
+            test_swap_word;
+          Alcotest.test_case "a 64-bit action reading its own destination"
+            `Quick test_wide_self_update;
         ] );
       ( "generated",
         [

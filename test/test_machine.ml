@@ -265,6 +265,51 @@ let test_sim_same_phase_snapshot () =
   let sim = run_program d src in
   check_int "x := x + x" 10 (Bitvec.to_int (Sim.get_reg sim "R1"))
 
+(* [Phase.direct]: when running a phase's actions in order against the
+   live state is indistinguishable from the buffered model. *)
+let test_phase_direct () =
+  let d = Machines.hp3 in
+  let r name = Inst.A_reg (Desc.get_reg d name).Desc.r_id in
+  let mov a b = op d "mov" [ a; b ] and inc a b = op d "inc" [ a; b ] in
+  let rdr a b = op d "rdr" [ a; b ] and wrr a b = op d "wrr" [ a; b ] in
+  (* operands [Inst.make] would refuse, as a corrupted word carries them *)
+  let imm_dest = { (mov (r "R1") (r "R2")) with
+                   Inst.op_args = [| Inst.A_imm (bv 16 3); r "R2" |] } in
+  let unknown_src = { (inc (r "R3") (r "R4")) with
+                      Inst.op_args =
+                        [| r "R3"; Inst.A_reg (Array.length d.Desc.d_regs) |] } in
+  List.iter
+    (fun (what, ops, expect) -> check_bool what expect (Phase.direct d ops))
+    [
+      ("empty phase", [], true);
+      ("independent pair", [ mov (r "R1") (r "R2"); inc (r "R3") (r "R4") ], true);
+      ("read after write", [ mov (r "R1") (r "R2"); inc (r "R3") (r "R1") ], false);
+      ("write after read", [ inc (r "R3") (r "R1"); mov (r "R1") (r "R2") ], true);
+      ( "swap",
+        [ mov (r "R1") (r "R2"); op d "or" [ r "R2"; r "R1"; r "R1" ] ],
+        false );
+      ( "flag set then read",
+        [ op d "addf" [ r "R1"; r "R2"; r "R3" ];
+          op d "adc" [ r "R4"; r "R5"; r "R6" ] ],
+        false );
+      ("memory first", [ rdr (r "R4") (r "R1"); inc (r "R2") (r "R3") ], true);
+      ("memory second", [ inc (r "R2") (r "R3"); rdr (r "R4") (r "R1") ], false);
+      ( "two memory actions",
+        [ rdr (r "R4") (r "R1"); wrr (r "R2") (r "R3") ],
+        false );
+      ( "memory result read later",
+        [ rdr (r "R4") (r "R1"); inc (r "R2") (r "R4") ],
+        false );
+      ("immediate destination alone", [ imm_dest ], true);
+      ( "immediate destination with other actions",
+        [ inc (r "R3") (r "R4"); imm_dest ],
+        false );
+      ("unknown register alone", [ unknown_src ], true);
+      ( "unknown register with other actions",
+        [ mov (r "R1") (r "R2"); unknown_src ],
+        false );
+    ]
+
 let test_sim_memory_ops () =
   let d = Machines.hp3 in
   let src =
@@ -493,6 +538,7 @@ let () =
           Alcotest.test_case "phase chaining" `Quick test_sim_phases_chain;
           Alcotest.test_case "read-before-write" `Quick
             test_sim_same_phase_snapshot;
+          Alcotest.test_case "Phase.direct verdicts" `Quick test_phase_direct;
           Alcotest.test_case "memory ops" `Quick test_sim_memory_ops;
           Alcotest.test_case "memory stalls" `Quick
             test_sim_cycles_memory_stall;

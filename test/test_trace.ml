@@ -53,6 +53,36 @@ let test_parse_json () =
   bad "bare word" "nope";
   bad "unclosed object" {|{"a":1|}
 
+(* [print_json] output parses back to the same value, the characters
+   that need escaping included. *)
+let test_print_json () =
+  let back what v =
+    let line = Trace.print_json v in
+    Alcotest.(check bool) (what ^ ": one line") false (String.contains line '\n');
+    match Trace.parse_json line with
+    | Ok j -> Alcotest.(check bool) (what ^ ": " ^ line) true (j = v)
+    | Error msg -> Alcotest.failf "%s: %s in %s" what msg line
+  in
+  back "escapes" (Trace.J_str "q\"b\\n\nr\rt\tbell\007end");
+  back "escaped key" (Trace.J_obj [ ("k\"\t", Trace.J_str "\001") ]);
+  back "nested"
+    (Trace.J_obj
+       [
+         ("id", Trace.J_str "r1");
+         ("ok", Trace.J_bool true);
+         ("n", Trace.J_num 42.0);
+         ("xs", Trace.J_arr [ Trace.J_num (-3.0); Trace.J_null; Trace.J_arr [] ]);
+         ("o", Trace.J_obj []);
+       ]);
+  Alcotest.(check string)
+    "byte form" {|{"a":"\"\\\n\r\t\u0001","b":[1,2.5,null]}|}
+    (Trace.print_json
+       (Trace.J_obj
+          [
+            ("a", Trace.J_str "\"\\\n\r\t\001");
+            ("b", Trace.J_arr [ Trace.J_num 1.0; Trace.J_num 2.5; Trace.J_null ]);
+          ]))
+
 (* -- emission round-trip -------------------------------------------------- *)
 
 let test_round_trip () =
@@ -204,7 +234,10 @@ let () =
   Alcotest.run "trace"
     [
       ( "json",
-        [ Alcotest.test_case "parse_json" `Quick test_parse_json ] );
+        [
+          Alcotest.test_case "parse_json" `Quick test_parse_json;
+          Alcotest.test_case "print_json parses back" `Quick test_print_json;
+        ] );
       ( "round-trip",
         [
           Alcotest.test_case "emit and parse back" `Quick test_round_trip;
