@@ -300,21 +300,10 @@ let compile_cmd =
     handle_diag (fun () ->
         let d = resolve_machine machine machine_file in
         let tv_inject = Option.map miscompile_of_spec tv_inject in
-        let artifacts = ref [] in
-        let capture =
-          if validate then Some (fun a -> artifacts := a :: !artifacts)
-          else None
-        in
-        let rewrites = ref [] in
-        let superopt_capture =
-          if validate then Some (fun rw -> rewrites := rw :: !rewrites)
-          else None
-        in
-        let c =
-          Core.Toolkit.compile
+        let c, obligations =
+          Core.Toolkit.compile_obligations
             ~options:(options_of ~superopt opt algo bb_budget)
-            ?observe:(observe_of_dumps dumps) ?capture ?superopt_capture lang
-            d (read_file file)
+            ?observe:(observe_of_dumps dumps) lang d (read_file file)
         in
         warn_inexact c;
         print_string (Masm.print d c.Core.Toolkit.c_insts);
@@ -331,15 +320,8 @@ let compile_cmd =
           if r.Msl_mir.Tv.v_refuted > 0 then failed := true
         in
         if validate then begin
-          (* the artifacts prove compaction against selection; each
-             superopt rewrite then carries its own proof — replay both
-             halves and the composition covers the emitted program *)
-          report (Msl_mir.Tv.validate_artifacts d (List.rev !artifacts));
-          let bad =
-            List.filter
-              (fun rw -> Msl_mir.Superopt.replay d rw <> Msl_mir.Tv.Validated)
-              (List.rev !rewrites)
-          in
+          let r, bad = Core.Toolkit.discharge d obligations in
+          report r;
           List.iter
             (fun (rw : Msl_mir.Superopt.rewrite) ->
               failed := true;
@@ -349,9 +331,9 @@ let compile_cmd =
                 rw.Msl_mir.Superopt.rw_label
                 (Msl_mir.Superopt.kind_name rw.Msl_mir.Superopt.rw_kind))
             bad;
-          if !rewrites <> [] && bad = [] then
-            Fmt.pr "; superopt: %d rewrites replayed, all proved@."
-              (List.length !rewrites)
+          let replayed = List.length obligations.Core.Toolkit.ob_rewrites in
+          if replayed > 0 && bad = [] then
+            Fmt.pr "; superopt: %d rewrites replayed, all proved@." replayed
         end;
         (match tv_inject with
         | None -> ()

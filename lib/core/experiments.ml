@@ -1007,12 +1007,8 @@ let m1_rows ?(n = m1_default_machines) () =
       in
       (* fresh compiles: generated machines must not pollute (or be
          served by) the shared experiment cache *)
-      let artifacts = ref [] in
-      let c =
-        Toolkit.compile ~capture:(fun a -> artifacts := a :: !artifacts)
-          Toolkit.Yalll d psrc
-      in
-      let tv = Tv.validate_artifacts d (List.rev !artifacts) in
+      let c, obligations = Toolkit.compile_obligations Toolkit.Yalll d psrc in
+      let tv = Tv.validate_artifacts d obligations.Toolkit.ob_blocks in
       let lint =
         List.length
           (Msl_mir.Diag.errors
@@ -1166,14 +1162,10 @@ let v1_honest_rows () =
                   let refuted = ref 0 and unknown = ref 0 in
                   List.iter
                     (fun (_, _, src) ->
-                      let artifacts = ref [] in
-                      (* fresh compiles: only the capture hook sees the
-                         pre-compaction schedules *)
-                      ignore
-                        (Toolkit.compile ~options
-                           ~capture:(fun a -> artifacts := a :: !artifacts)
-                           lang d src);
-                      let r = Tv.validate_artifacts d (List.rev !artifacts) in
+                      (* fresh compiles: only a compile's own capture
+                         sees the pre-compaction schedules *)
+                      let _, ob = Toolkit.compile_obligations ~options lang d src in
+                      let r = Tv.validate_artifacts d ob.Toolkit.ob_blocks in
                       blocks := !blocks + r.Tv.v_total;
                       proved := !proved + (r.Tv.v_validated - r.Tv.v_dynamic);
                       dyn := !dyn + r.Tv.v_dynamic;

@@ -499,11 +499,8 @@ let compile_raw ?superopt_memo (j : job) =
     try Machines.get j.j_machine
     with Invalid_argument msg -> Diag.error Diag.Semantic "%s" msg
   in
-  let c =
-    Toolkit.compile ?superopt_memo ~options:j.j_options
-      ~use_microops:j.j_use_microops j.j_language d j.j_source
-  in
-  (c, Masm.print d c.Toolkit.c_insts)
+  Toolkit.compile_obligations ?superopt_memo ~options:j.j_options
+    ~use_microops:j.j_use_microops j.j_language d j.j_source
 
 (* One attempt behind the exception firewall.  A structured diagnostic
    is deterministic — the same source fails the same way every time — so
@@ -511,15 +508,16 @@ let compile_raw ?superopt_memo (j : job) =
    internal fault (a worker crash, an injected raise) and is fair game
    for a retry. *)
 type attempt =
-  | A_ok of entry
+  | A_ok of entry * Toolkit.obligations
   | A_diag of Diag.t  (* deterministic compile failure *)
   | A_crash of Diag.t  (* unexpected raise, converted; retryable *)
 
 let one_attempt ?superopt_memo ~faults j key n =
   try
     inject faults key n;
-    let c, listing = compile_raw ?superopt_memo j in
-    A_ok { e_compiled = c; e_listing = listing }
+    let c, obligations = compile_raw ?superopt_memo j in
+    let listing = Masm.print c.Toolkit.c_machine c.Toolkit.c_insts in
+    A_ok ({ e_compiled = c; e_listing = listing }, obligations)
   with
   | Diag.Error d -> A_diag d
   | Injected_fault msg ->
@@ -573,12 +571,12 @@ let compile_uncached t ~policy ~faults ~opts_id (j : job) key =
   in
   let rec go attempt =
     match one_attempt ?superopt_memo:(superopt_memo t) ~faults j key attempt with
-    | A_ok e -> (
+    | A_ok (e, obligations) -> (
         match overrun () with
         | Some over -> Error (deadline_diag over attempt)
         | None ->
             insert t ~opts_id key e;
-            Ok e)
+            Ok (e, obligations))
     | A_diag d -> Error d
     | A_crash d -> (
         locked t (fun () -> t.internal <- t.internal + 1);
@@ -610,6 +608,15 @@ let compile_uncached t ~policy ~faults ~opts_id (j : job) key =
   in
   go 1
 
+(* A gate's message: the first finding, and how many more there were. *)
+let first_of pp = function
+  | [] -> None
+  | first :: rest ->
+      Some
+        (Fmt.str "%a%s" pp first
+           (if rest = [] then ""
+            else Printf.sprintf " (+%d more)" (List.length rest)))
+
 (* The post-compile lint gate.  Runs outside the cache: the cached value
    is always the pure compilation (j_lint is not in the key), and a
    cache hit re-runs the gate — the analyzer is cheap next to the
@@ -617,20 +624,12 @@ let compile_uncached t ~policy ~faults ~opts_id (j : job) key =
    MIR checks need the pre-pass program, which cached entries do not
    carry. *)
 let lint_gate (c : Toolkit.compiled) =
-  let findings =
-    Msl_mir.Lint.validate_machine ~labels:c.Toolkit.c_labels
-      c.Toolkit.c_machine c.Toolkit.c_insts
-  in
-  match Msl_mir.Diag.errors findings with
-  | [] -> None
-  | first :: rest ->
-      let message =
-        Fmt.str "%a%s" Msl_mir.Diag.pp_finding first
-          (match rest with
-          | [] -> ""
-          | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-      in
-      Some { Diag.phase = Diag.Lint; loc = Msl_util.Loc.dummy; message }
+  Msl_mir.Lint.validate_machine ~labels:c.Toolkit.c_labels c.Toolkit.c_machine
+    c.Toolkit.c_insts
+  |> Msl_mir.Diag.errors
+  |> first_of Msl_mir.Diag.pp_finding
+  |> Option.map (fun message ->
+         { Diag.phase = Diag.Lint; loc = Msl_util.Loc.dummy; message })
 
 (* The differential-engine gate.  Like the lint gate it runs outside the
    cache (j_diff is not in the key): the cached value is the pure
@@ -682,88 +681,70 @@ let diff_gate (c : Toolkit.compiled) =
     in
     Some { Diag.phase = Diag.Execution; loc = Msl_util.Loc.dummy; message }
 
-(* The translation-validation gate.  Like the others it runs outside the
-   cache (j_validate is not in the key); unlike them it cannot work from
-   the cached compilation alone — the validator consumes the per-block
-   artifacts the pipeline captures during lowering, which cached entries
-   do not carry — so the gate recompiles with capture enabled (the
-   compile it repeats is the cost of the proof, and only gated jobs pay
-   it).  S* programs bypass compaction entirely: nothing to validate,
-   the gate passes.  Strict on purpose: REFUTED and UNKNOWN both fail,
-   so a clean gated batch certifies that every block was proved (or
-   dynamically revalidated), not merely that none was refuted. *)
-let validate_gate (j : job) (c : Toolkit.compiled) =
-  match j.j_language with
-  | Toolkit.Sstar -> None
-  | _ -> (
-      match
-        Toolkit.capture (fun () ->
-            let artifacts = ref [] in
-            let rewrites = ref [] in
-            ignore
-              (Toolkit.compile ~options:j.j_options
-                 ~use_microops:j.j_use_microops
-                 ~capture:(fun a -> artifacts := a :: !artifacts)
-                 ~superopt_capture:(fun rw -> rewrites := rw :: !rewrites)
-                 j.j_language c.Toolkit.c_machine j.j_source);
-            (* two proof halves: each block's compaction against its
-               selection, then every superopt rewrite against the words
-               it replaced — together they cover the emitted program *)
-            ( Msl_mir.Tv.validate_artifacts c.Toolkit.c_machine
-                (List.rev !artifacts),
-              List.filter
-                (fun rw ->
-                  Msl_mir.Superopt.replay c.Toolkit.c_machine rw
-                  <> Msl_mir.Tv.Validated)
-                (List.rev !rewrites) ))
-      with
-      | Error d -> Some d
-      | Ok (r, (bad_rw : Msl_mir.Superopt.rewrite list)) ->
-          if
-            r.Msl_mir.Tv.v_refuted = 0
-            && r.Msl_mir.Tv.v_unknown = 0
-            && bad_rw = []
-          then None
-          else
-            let message =
-              match (bad_rw, r.Msl_mir.Tv.v_findings) with
-              | rw :: rest, _ ->
-                  Printf.sprintf
-                    "superopt rewrite in block %s (%s) did not replay \
-                     Validated%s"
-                    rw.Msl_mir.Superopt.rw_label
-                    (Msl_mir.Superopt.kind_name rw.Msl_mir.Superopt.rw_kind)
-                    (match rest with
-                    | [] -> ""
-                    | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-              | [], [] -> Fmt.str "%a" Msl_mir.Tv.pp_summary r
-              | [], first :: rest ->
-                  Fmt.str "%a%s" Msl_mir.Diag.pp_finding first
-                    (match rest with
-                    | [] -> ""
-                    | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-            in
-            Some
-              {
-                Diag.phase = Diag.Verification;
-                loc = Msl_util.Loc.dummy;
-                message;
-              })
+(* The translation-validation gate, outside the cache like the others
+   (j_validate is not in the key).  It proves the obligations of the
+   compile that produced the served words: a miss's own; on a hit, a
+   recompile's, which must reproduce the cached words exactly or the
+   proof would cover words the job does not serve.  Strict on purpose:
+   REFUTED and UNKNOWN both fail, so a clean gated batch certifies that
+   every block was proved (or dynamically revalidated), not merely that
+   none was refuted. *)
+let validate_gate t (j : job) captured (c : Toolkit.compiled) =
+  let machine = c.Toolkit.c_machine in
+  let recompile () =
+    let c', obligations = compile_raw ?superopt_memo:(superopt_memo t) j in
+    let rec first_diff i = function
+      | a :: xs, b :: ys when a = b -> first_diff (i + 1) (xs, ys)
+      | [], [] -> obligations
+      | xs, ys ->
+          let word = function
+            | [] -> "<end>"
+            | w :: _ -> Fmt.str "%a" (Inst.pp machine) w
+          in
+          Diag.error Diag.Verification
+            "cached word %d does not match its recompile: cached %s, \
+             recompiled %s"
+            i (word xs) (word ys)
+    in
+    first_diff 0 (c.Toolkit.c_insts, c'.Toolkit.c_insts)
+  in
+  let pp_rewrite ppf (rw : Msl_mir.Superopt.rewrite) =
+    Fmt.pf ppf "superopt rewrite in block %s (%s) did not replay Validated"
+      rw.rw_label (Msl_mir.Superopt.kind_name rw.rw_kind)
+  in
+  match
+    Toolkit.capture (fun () ->
+        Toolkit.discharge machine
+          (match captured with Some ob -> ob | None -> recompile ()))
+  with
+  | Error d -> Some d
+  | Ok ((r : Msl_mir.Tv.result), bad_rw) ->
+      (match first_of pp_rewrite bad_rw with
+      | Some _ as message -> message
+      | None when r.v_refuted = 0 && r.v_unknown = 0 -> None
+      | None ->
+          Some
+            (Option.value ~default:(Fmt.str "%a" Msl_mir.Tv.pp_summary r)
+               (first_of Msl_mir.Diag.pp_finding r.v_findings)))
+      |> Option.map (fun message ->
+             { Diag.phase = Diag.Verification; loc = Msl_util.Loc.dummy; message })
 
 let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
   let key = (cache_key j :> string) in
   let opts_id = options_id j.j_options in
-  let outcome =
+  let outcome, obligations =
     match probe t ~opts_id key with
     | Some e ->
-        { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = true }
+        ( { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = true },
+          None )
     | None -> (
         match compile_uncached t ~policy ~faults ~opts_id j key with
-        | Ok e ->
-            { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = false }
+        | Ok (e, obligations) ->
+            ( { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = false },
+              Some obligations )
         | Error d ->
             note_error t;
-            { o_job = j; o_result = Error d; o_cached = false })
+            ({ o_job = j; o_result = Error d; o_cached = false }, None))
   in
   (* the post-compile gates compose: lint first (static resources), then
      translation validation (static semantics), then the engine
@@ -782,7 +763,7 @@ let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
   in
   outcome
   |> apply_gate j.j_lint lint_gate
-  |> apply_gate j.j_validate (validate_gate j)
+  |> apply_gate j.j_validate (validate_gate t j obligations)
   |> apply_gate j.j_diff diff_gate
 
 (* -- the worker pool -------------------------------------------------------------- *)

@@ -40,20 +40,24 @@ type job = {
           [j_lint], runs outside the cache and is not part of the
           key. *)
   j_validate : bool;
-      (** post-compile gate: recompile with the pipeline's capture hook
-          and run the translation validator ({!Msl_mir.Tv}) over every
-          block, failing the job on any REFUTED {e or} UNKNOWN verdict —
-          a clean gated batch certifies each block was proved equivalent
-          to its pre-compaction schedule.  No-op for S* (no compaction).
-          Like the other gates, runs outside the cache and is not part
-          of the key. *)
+      (** post-compile gate: prove the words served — discharge
+          ({!Toolkit.discharge}) the obligations of the compile that
+          produced them, failing the job on any REFUTED {e or} UNKNOWN
+          verdict or unreplayed superopt rewrite.  A miss is proved on
+          the compile that produced its words.  A hit recompiles, must
+          match the cached words — else a [Verification] failure naming
+          the first differing word — and proves that recompile.  Like
+          the other gates, runs outside the cache and is not part of
+          the key. *)
 }
 
 type outcome = {
   o_job : job;
   o_result : (Toolkit.compiled * string, Msl_util.Diag.t) result;
       (** on success, the compilation and its {!Masm.print} listing *)
-  o_cached : bool;  (** served from the cache without recompiling *)
+  o_cached : bool;
+      (** served from the cache: compiled only to be proved
+          ([j_validate]), and then it must match *)
 }
 
 type stats = {
@@ -109,9 +113,6 @@ type faults = {
   f_delay : float;  (** probability an attempt sleeps first *)
   f_delay_ms : float;  (** length of that sleep *)
 }
-
-val no_faults : faults
-(** Zero probabilities: injection fully disabled. *)
 
 type t
 

@@ -31,8 +31,6 @@ let language_of_string s =
    [mslc run] driver defaults to [Compiled]. *)
 type engine = Interp | Compiled
 
-let engine_name = function Interp -> "interp" | Compiled -> "compiled"
-
 let engine_of_string s =
   match String.lowercase_ascii s with
   | "interp" | "interpreter" | "interpreted" -> Interp
@@ -104,8 +102,16 @@ let of_insts ?(timings = []) ?(inexact_blocks = 0) ?superopt language d insts
     c_timings = timings;
   }
 
-let compile ?options ?use_microops ?observe ?capture:capture_blocks
-    ?superopt_memo ?superopt_capture (language : language) (d : Desc.t) src =
+type obligations = {
+  ob_blocks : Msl_mir.Tv.artifact list;
+  ob_rewrites : Msl_mir.Superopt.rewrite list;
+}
+
+(* The proof obligations are captured by the compile that emits the
+   words, so proving them proves exactly the words this call returns. *)
+let compile_obligations ?options ?use_microops ?observe ?superopt_memo
+    (language : language) (d : Desc.t) src =
+  let blocks = ref [] and rewrites = ref [] in
   Trace.with_span ~cat:"toolkit" "compile"
     ~args:
       [
@@ -115,25 +121,43 @@ let compile ?options ?use_microops ?observe ?capture:capture_blocks
     (fun () ->
       let through_pipeline p =
         let insts, labels, m =
-          Pipeline.compile ?options ?observe ?capture:capture_blocks
-            ?superopt_memo ?superopt_capture d p
+          Pipeline.compile ?options ?observe ?superopt_memo
+            ~capture:(fun a -> blocks := a :: !blocks)
+            ~superopt_capture:(fun rw -> rewrites := rw :: !rewrites)
+            d p
         in
         of_insts ~timings:m.Pipeline.m_timings
           ~inexact_blocks:m.Pipeline.m_inexact_blocks
           ?superopt:m.Pipeline.m_superopt language d insts labels
           m.Pipeline.m_alloc
       in
-      match language with
-      | Simpl -> through_pipeline (Msl_simpl.Compile.parse_compile d src)
-      | Empl ->
-          through_pipeline (Msl_empl.Compile.parse_compile ?use_microops d src)
-      | Yalll -> through_pipeline (Msl_yalll.Compile.parse_compile d src)
-      | Sstar ->
-          (* the S* programmer composes the microinstructions: no MIR
-             pipeline, so no passes to time or observe, and nothing for
-             [capture] to validate against (there is no compaction) *)
-          let insts, labels = Msl_sstar.Compile.parse_compile d src in
-          of_insts language d insts labels None)
+      let c =
+        match language with
+        | Simpl -> through_pipeline (Msl_simpl.Compile.parse_compile d src)
+        | Empl ->
+            through_pipeline (Msl_empl.Compile.parse_compile ?use_microops d src)
+        | Yalll -> through_pipeline (Msl_yalll.Compile.parse_compile d src)
+        | Sstar ->
+            (* the S* programmer composes the microinstructions: no MIR
+               pipeline, so no passes to time or observe, and no
+               compaction to prove *)
+            let insts, labels = Msl_sstar.Compile.parse_compile d src in
+            of_insts language d insts labels None
+      in
+      (c, { ob_blocks = List.rev !blocks; ob_rewrites = List.rev !rewrites }))
+
+let compile ?options ?use_microops ?observe ?superopt_memo language d src =
+  fst
+    (compile_obligations ?options ?use_microops ?observe ?superopt_memo
+       language d src)
+
+(* Two proof halves, together covering the emitted program: each block's
+   compaction against its selection, each rewrite against what it replaced. *)
+let discharge d ob =
+  ( Msl_mir.Tv.validate_artifacts d ob.ob_blocks,
+    List.filter
+      (fun rw -> Msl_mir.Superopt.replay d rw <> Msl_mir.Tv.Validated)
+      ob.ob_rewrites )
 
 (* Assemble a hand-written microprogram, with the same metrics. *)
 let assemble (d : Desc.t) src =

@@ -19,8 +19,6 @@ type engine = Interp | Compiled
     [Interp] (the reference semantics); the [mslc run] driver defaults
     to [Compiled]. *)
 
-val engine_name : engine -> string
-
 val engine_of_string : string -> engine
 (** Accepts "interp"/"interpreter" and "compiled"/"simc".
     @raise Invalid_argument on unknown names. *)
@@ -70,20 +68,41 @@ val compile :
   ?options:Msl_mir.Pipeline.options ->
   ?use_microops:bool ->
   ?observe:(string -> Msl_mir.Mir.program -> unit) ->
-  ?capture:(Msl_mir.Tv.artifact -> unit) ->
   ?superopt_memo:Msl_mir.Superopt.memo ->
-  ?superopt_capture:(Msl_mir.Superopt.rewrite -> unit) ->
   language ->
   Desc.t ->
   string ->
   compiled
-(** Parse and compile source text.  [use_microops] applies to EMPL only;
-    [observe] sees the MIR after every executed pass; [capture] receives
-    each lowered block's translation-validation artifact (both are
-    ignored for S*, which has no MIR pipeline and no compaction).
-    [superopt_memo] and [superopt_capture] are forwarded to
-    {!Msl_mir.Pipeline.compile} when the superoptimizer runs.
+(** Parse and compile source text: {!compile_obligations} without the
+    obligations.  [use_microops] applies to EMPL only; [observe] sees the
+    MIR after every executed pass (never for S*, which has no MIR
+    pipeline); [superopt_memo] is forwarded to {!Msl_mir.Pipeline.compile}.
     @raise Msl_util.Diag.Error on any front- or back-end failure. *)
+
+(** What a compile owes a proof of: each lowered block's artifact, in
+    block order, and each accepted superopt rewrite, in order (both empty
+    for S*, which has no compaction). *)
+type obligations = {
+  ob_blocks : Msl_mir.Tv.artifact list;
+  ob_rewrites : Msl_mir.Superopt.rewrite list;
+}
+
+val compile_obligations :
+  ?options:Msl_mir.Pipeline.options ->
+  ?use_microops:bool ->
+  ?observe:(string -> Msl_mir.Mir.program -> unit) ->
+  ?superopt_memo:Msl_mir.Superopt.memo ->
+  language ->
+  Desc.t ->
+  string ->
+  compiled * obligations
+(** {!compile}, with the obligations that compile captured: discharging
+    them proves the returned words, and no others. *)
+
+val discharge :
+  Desc.t -> obligations -> Msl_mir.Tv.result * Msl_mir.Superopt.rewrite list
+(** {!Msl_mir.Tv.validate_artifacts} over the blocks, and the rewrites
+    that {!Msl_mir.Superopt.replay} does not find [Validated]. *)
 
 val assemble : Desc.t -> string -> compiled
 (** Assemble hand-written microcode (see {!Msl_machine.Masm}), with the

@@ -954,6 +954,167 @@ let test_serve_shutdown_request () =
       Alcotest.(check bool) "socket file removed on exit" false
         (Sys.file_exists socket))
 
+(* -- the validate gate ------------------------------------------------------- *)
+
+let read_example name =
+  let ic = open_in_bin (Filename.concat "../examples" name) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The record a .mslc file marshals after its header line. *)
+type disk_entry = { e_compiled : Toolkit.compiled; e_listing : string }
+
+(* A hit's proof covers the served words only if the hit's recompile
+   reproduces them: tamper with a cached entry (one word dropped, header
+   and record layout kept) and a validated job must fail, while an
+   unvalidated one is still served — the cache trusts its own files. *)
+let test_validate_hit_must_match () =
+  with_cache_dir (fun dir ->
+      let job validate =
+        Service.job ~id:"gcd.yll@hp3" ~validate Toolkit.Yalll ~machine:"hp3"
+          ~source:(read_example "gcd.yll")
+      in
+      let s1 = Service.create ~domains:1 ~cache_dir:dir () in
+      (match (Service.compile_job s1 (job true)).Service.o_result with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "honest compile failed: %s" (Diag.to_string d));
+      let path =
+        match
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".mslc")
+        with
+        | [ f ] -> Filename.concat dir f
+        | fs -> Alcotest.failf "expected one entry file, found %d" (List.length fs)
+      in
+      let ic = open_in_bin path in
+      let header = input_line ic in
+      let e = (Marshal.from_channel ic : disk_entry) in
+      close_in ic;
+      let c = e.e_compiled in
+      let kept = List.filteri (fun i _ -> i < c.Toolkit.c_words - 1) c.Toolkit.c_insts in
+      let tampered =
+        { c with Toolkit.c_insts = kept; c_words = List.length kept }
+      in
+      let oc = open_out_bin path in
+      output_string oc (header ^ "\n");
+      Marshal.to_channel oc
+        { e_compiled = tampered; e_listing = Masm.print c.Toolkit.c_machine kept }
+        [];
+      close_out oc;
+      let served validate =
+        let o = Service.compile_job (Service.create ~domains:1 ~cache_dir:dir ()) (job validate) in
+        Alcotest.(check bool) "served from the cache" true o.Service.o_cached;
+        o.Service.o_result
+      in
+      (match served true with
+      | Ok (c, _) ->
+          Alcotest.failf "validated a %d-word entry its recompile disagrees with"
+            c.Toolkit.c_words
+      | Error d ->
+          Alcotest.(check bool) "a verification failure" true
+            (d.Diag.phase = Diag.Verification);
+          Alcotest.(check bool)
+            (Printf.sprintf "names the first differing word: %s" d.Diag.message)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "cached word %d " (List.length kept))
+               d.Diag.message));
+      match served false with
+      | Ok (c, _) -> Alcotest.(check int) "unvalidated: served as stored" (List.length kept) c.Toolkit.c_words
+      | Error d -> Alcotest.failf "unvalidated hit failed: %s" (Diag.to_string d))
+
+(* The front end and MIR pipeline run once per validated job: a miss
+   proves the obligations its own compile captured, a hit recompiles
+   once to capture them. *)
+let test_validate_compiles_once () =
+  let j =
+    Service.job ~id:"gcd.yll@hp3-O2" ~validate:true
+      ~options:{ Pipeline.default_options with Pipeline.opt_level = 2 }
+      Toolkit.Yalll ~machine:"hp3" ~source:(read_example "gcd.yll")
+  in
+  let svc = Service.create ~domains:1 () in
+  let compiles () =
+    let path = Filename.temp_file "msl_test_service" ".jsonl" in
+    Msl_util.Trace.enable_file path;
+    let o =
+      Fun.protect ~finally:Msl_util.Trace.disable (fun () -> Service.compile_job svc j)
+    in
+    (match o.Service.o_result with
+    | Ok _ -> ()
+    | Error d -> Alcotest.failf "job failed: %s" (Diag.to_string d));
+    let events =
+      match Msl_util.Trace.read_events path with
+      | Ok es -> es
+      | Error msg -> Alcotest.failf "trace did not parse back: %s" msg
+    in
+    Sys.remove path;
+    ( o.Service.o_cached,
+      List.length
+        (List.filter
+           (fun (e : Msl_util.Trace.event) ->
+             e.ev_ph = "B" && e.ev_cat = "toolkit" && e.ev_name = "compile")
+           events) )
+  in
+  Alcotest.(check (pair bool int)) "miss: one compile" (false, 1) (compiles ());
+  Alcotest.(check (pair bool int)) "hit: one compile" (true, 1) (compiles ())
+
+(* Discharge is not a formality: drop one word from a block's emitted
+   schedule and that block no longer proves. *)
+let test_discharge_refutes () =
+  let d = Machines.hp3 in
+  let _, ob = Toolkit.compile_obligations Toolkit.Yalll d (read_example "gcd.yll") in
+  let r, bad = Toolkit.discharge d ob in
+  Alcotest.(check (pair int int)) "honest: nothing refuted or unknown" (0, 0)
+    (r.Msl_mir.Tv.v_refuted, r.Msl_mir.Tv.v_unknown);
+  Alcotest.(check int) "honest: every rewrite replays" 0 (List.length bad);
+  let dropped = ref false in
+  let tampered =
+    List.map
+      (fun (a : Msl_mir.Tv.artifact) ->
+        match a.Msl_mir.Tv.a_mis with
+        | (_ :: _, _) :: (_ :: _ as rest) when not !dropped ->
+            dropped := true;
+            { a with Msl_mir.Tv.a_mis = rest }
+        | _ -> a)
+      ob.Toolkit.ob_blocks
+  in
+  Alcotest.(check bool) "found a block to tamper with" true !dropped;
+  let r, _ = Toolkit.discharge d { ob with Toolkit.ob_blocks = tampered } in
+  Alcotest.(check int) "tampered block refuted" 1 r.Msl_mir.Tv.v_refuted
+
+(* Validation never changes a result: every example on every machine its
+   language targets, at -O1 and -O2, validated cold and warm, against
+   the same jobs unvalidated. *)
+let test_validate_preserves_outcomes () =
+  let targets =
+    [ (".yll", (Toolkit.Yalll, [ "hp3"; "v11"; "b17" ]));
+      (".simpl", (Toolkit.Simpl, [ "hp3"; "h1"; "b17" ]));
+      (".empl", (Toolkit.Empl, [ "hp3"; "b17" ])) ]
+  in
+  let jobs validate =
+    Sys.readdir "../examples" |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun f ->
+           match List.find_opt (fun (ext, _) -> Filename.check_suffix f ext) targets with
+           | None -> []
+           | Some (_, (lang, machines)) ->
+               List.concat_map
+                 (fun machine ->
+                   List.map
+                     (fun opt_level ->
+                       Service.job
+                         ~id:(Printf.sprintf "%s@%s-O%d" f machine opt_level)
+                         ~options:{ Pipeline.default_options with Pipeline.opt_level }
+                         ~validate lang ~machine ~source:(read_example f))
+                     [ 1; 2 ])
+                 machines)
+  in
+  let expected = outcome_listings (Service.run_batch (Service.create ~domains:1 ()) (jobs false)) in
+  Alcotest.(check bool) "covers every example" true (List.length expected >= 30);
+  let svc = Service.create ~domains:1 () in
+  check_identical "validated, cold" expected (outcome_listings (Service.run_batch svc (jobs true)));
+  check_identical "validated, warm" expected (outcome_listings (Service.run_batch svc (jobs true)));
+  Alcotest.(check int) "warm round hit" (List.length expected) (Service.stats svc).Service.st_hits
+
 let () =
   Alcotest.run "service"
     [
@@ -1005,6 +1166,17 @@ let () =
             test_concurrent_hammer;
           Alcotest.test_case "6-domain hammer with disk and eviction" `Quick
             test_multidomain_disk_stress;
+        ] );
+      ( "validate",
+        [
+          Alcotest.test_case "a hit serves only words its recompile reproduces"
+            `Quick test_validate_hit_must_match;
+          Alcotest.test_case "one compile per job, miss or hit" `Quick
+            test_validate_compiles_once;
+          Alcotest.test_case "validated outcomes = unvalidated" `Quick
+            test_validate_preserves_outcomes;
+          Alcotest.test_case "discharge refutes a dropped word" `Quick
+            test_discharge_refutes;
         ] );
       ( "manifest",
         [
