@@ -485,59 +485,85 @@ let s4_gate ~floor =
       t.Unix.tm_mday
   in
   let file = Printf.sprintf "BENCH_%s.json" date in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"experiment\": \"S4\",\n  \"date\": \"%s\",\n  \"floor\": %g,\n"
-       date floor);
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (r : Experiments.s4_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"machine\": \"%s\", \
-            \"cycles_per_run\": %d, \"interp_cps\": %.0f, \
-            \"compiled_cps\": %.0f, \"speedup\": %.2f}%s\n"
-           r.Experiments.s4_kernel r.Experiments.s4_machine
-           r.Experiments.s4_cycles r.Experiments.s4_interp_cps
-           r.Experiments.s4_compiled_cps r.Experiments.s4_speedup
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"v1_validate\": {\"ms\": %.2f, \"blocks\": %d, \"refuted\": %d, \
-        \"unknown\": %d},\n"
-       v1_ms v1_blocks v1_refuted v1_unknown);
-  Buffer.add_string buf "  \"t2_overhead\": {\n    \"rows\": [\n";
-  List.iteri
-    (fun i (r : Experiments.t2_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"program\": \"%s\", \"machine\": \"%s\", \
-            \"o1_words\": %d, \"o2_words\": %d, \"hand_words\": %d, \
-            \"o1_pct\": %.1f, \"o2_pct\": %.1f}%s\n"
-           r.Experiments.t2_name r.Experiments.t2_machine
-           r.Experiments.t2_compiled r.Experiments.t2_o2 r.Experiments.t2_hand
-           (overhead r.Experiments.t2_compiled r.Experiments.t2_hand)
-           (overhead r.Experiments.t2_o2 r.Experiments.t2_hand)
-           (if i < List.length t2_rows - 1 then "," else "")))
-    t2_rows;
-  Buffer.add_string buf
-    (Printf.sprintf "    ],\n    \"worst_o2_pct\": %.1f\n  },\n" t2_worst);
-  (let l50, l95, l99 = serve.sl_lat and w50, w95, w99 = serve.sl_wait in
-   Buffer.add_string buf
-     (Printf.sprintf
-        "  \"serve_latency\": {\"jobs\": %d, \"latency_us\": {\"p50\": %.1f, \
-         \"p95\": %.1f, \"p99\": %.1f}, \"queue_wait_us\": {\"p50\": %.1f, \
-         \"p95\": %.1f, \"p99\": %.1f}},\n"
-        serve.sl_jobs l50 l95 l99 w50 w95 w99));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"min_speedup\": %.2f,\n  \"pass\": %b\n}\n"
-       min_speedup pass);
+  (* each number is rounded to the digits the record reports *)
+  let num ?(digits = 0) x =
+    let scale = 10. ** float_of_int digits in
+    Trace.J_num (Float.round (x *. scale) /. scale)
+  and int n = Trace.J_num (float_of_int n)
+  and str s = Trace.J_str s in
+  let pcts (p50, p95, p99) =
+    Trace.J_obj
+      [ ("p50", num ~digits:1 p50); ("p95", num ~digits:1 p95);
+        ("p99", num ~digits:1 p99) ]
+  in
+  let record =
+    Trace.J_obj
+      [
+        ("experiment", str "S4");
+        ("date", str date);
+        ("floor", Trace.J_num floor);
+        ( "rows",
+          Trace.J_arr
+            (List.map
+               (fun (r : Experiments.s4_row) ->
+                 Trace.J_obj
+                   [
+                     ("kernel", str r.Experiments.s4_kernel);
+                     ("machine", str r.Experiments.s4_machine);
+                     ("cycles_per_run", int r.Experiments.s4_cycles);
+                     ("interp_cps", num r.Experiments.s4_interp_cps);
+                     ("compiled_cps", num r.Experiments.s4_compiled_cps);
+                     ("speedup", num ~digits:2 r.Experiments.s4_speedup);
+                   ])
+               rows) );
+        ( "v1_validate",
+          Trace.J_obj
+            [
+              ("ms", num ~digits:2 v1_ms);
+              ("blocks", int v1_blocks);
+              ("refuted", int v1_refuted);
+              ("unknown", int v1_unknown);
+            ] );
+        ( "t2_overhead",
+          Trace.J_obj
+            [
+              ( "rows",
+                Trace.J_arr
+                  (List.map
+                     (fun (r : Experiments.t2_row) ->
+                       Trace.J_obj
+                         [
+                           ("program", str r.Experiments.t2_name);
+                           ("machine", str r.Experiments.t2_machine);
+                           ("o1_words", int r.Experiments.t2_compiled);
+                           ("o2_words", int r.Experiments.t2_o2);
+                           ("hand_words", int r.Experiments.t2_hand);
+                           ( "o1_pct",
+                             num ~digits:1
+                               (overhead r.Experiments.t2_compiled
+                                  r.Experiments.t2_hand) );
+                           ( "o2_pct",
+                             num ~digits:1
+                               (overhead r.Experiments.t2_o2
+                                  r.Experiments.t2_hand) );
+                         ])
+                     t2_rows) );
+              ("worst_o2_pct", num ~digits:1 t2_worst);
+            ] );
+        ( "serve_latency",
+          Trace.J_obj
+            [
+              ("jobs", int serve.sl_jobs);
+              ("latency_us", pcts serve.sl_lat);
+              ("queue_wait_us", pcts serve.sl_wait);
+            ] );
+        ("min_speedup", num ~digits:2 min_speedup);
+        ("pass", Trace.J_bool pass);
+      ]
+  in
   let oc = open_out file in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Trace.print_json record);
+  output_char oc '\n';
   close_out oc;
   List.iter
     (fun (r : Experiments.s4_row) ->

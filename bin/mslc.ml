@@ -202,14 +202,38 @@ let superopt_arg =
   in
   Arg.(value & flag & info [ "superopt" ] ~doc)
 
-let options_of ?(superopt = false) opt_level algo bb_budget =
-  {
-    Msl_mir.Pipeline.default_options with
-    Msl_mir.Pipeline.opt_level;
-    algo;
-    bb_budget;
-    superopt;
-  }
+(* What compile, run and lint share: the program, its target and the
+   pipeline options.  The term is pure, so a usage error in any later
+   argument still wins; [compiling] does the work. *)
+type program = {
+  p_lang : Core.Toolkit.language;
+  p_machine : string;
+  p_machine_file : string option;
+  p_file : string;
+  p_options : Msl_mir.Pipeline.options;
+  p_trace : string option;
+}
+
+let program_term =
+  let make p_lang p_machine p_machine_file p_file opt_level algo bb_budget
+      superopt p_trace =
+    let p_options =
+      { Msl_mir.Pipeline.default_options with
+        Msl_mir.Pipeline.opt_level; algo; bb_budget; superopt }
+    in
+    { p_lang; p_machine; p_machine_file; p_file; p_options; p_trace }
+  in
+  Term.(
+    const make $ lang_arg $ machine_arg $ machine_file_arg $ file_arg
+    $ opt_arg $ algo_arg $ bb_budget_arg $ superopt_arg $ trace_arg)
+
+(* Start the trace, then resolve the machine and read the source inside
+   the diagnostic firewall and hand both to [f]. *)
+let compiling p f =
+  setup_trace p.p_trace;
+  handle_diag (fun () ->
+      let d = resolve_machine p.p_machine p.p_machine_file in
+      f d (read_file p.p_file))
 
 let warn_inexact (c : Core.Toolkit.compiled) =
   let n = c.Core.Toolkit.c_inexact_blocks in
@@ -294,16 +318,12 @@ let compile_cmd =
       & opt (some string) None
       & info [ "tv-inject" ] ~docv:"KIND:SEED" ~doc)
   in
-  let run lang machine machine_file file opt algo bb_budget superopt trace
-      time_passes dumps validate tv_inject =
-    setup_trace trace;
-    handle_diag (fun () ->
-        let d = resolve_machine machine machine_file in
+  let run p time_passes dumps validate tv_inject =
+    compiling p (fun d source ->
         let tv_inject = Option.map miscompile_of_spec tv_inject in
         let c, obligations =
-          Core.Toolkit.compile_obligations
-            ~options:(options_of ~superopt opt algo bb_budget)
-            ?observe:(observe_of_dumps dumps) lang d (read_file file)
+          Core.Toolkit.compile_obligations ~options:p.p_options
+            ?observe:(observe_of_dumps dumps) p.p_lang d source
         in
         warn_inexact c;
         print_string (Masm.print d c.Core.Toolkit.c_insts);
@@ -355,9 +375,8 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a program and print its microcode")
     Term.(
-      const run $ lang_arg $ machine_arg $ machine_file_arg $ file_arg
-      $ opt_arg $ algo_arg $ bb_budget_arg $ superopt_arg $ trace_arg
-      $ time_passes_arg $ dump_after_arg $ validate_arg $ tv_inject_arg)
+      const run $ program_term $ time_passes_arg $ dump_after_arg
+      $ validate_arg $ tv_inject_arg)
 
 let fuel_arg =
   let doc =
@@ -383,16 +402,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let run_cmd =
-  let run lang machine machine_file file opt algo bb_budget superopt trace
-      fuel engine =
-    setup_trace trace;
-    handle_diag (fun () ->
-        let d = resolve_machine machine machine_file in
-        let c =
-          Core.Toolkit.compile
-            ~options:(options_of ~superopt opt algo bb_budget)
-            lang d (read_file file)
-        in
+  let run p fuel engine =
+    compiling p (fun d source ->
+        let c = Core.Toolkit.compile ~options:p.p_options p.p_lang d source in
         warn_inexact c;
         match Core.Toolkit.run_status ~engine ~fuel c with
         | sim, Sim.Out_of_fuel ->
@@ -415,10 +427,7 @@ let run_cmd =
               (Desc.regs d))
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and execute a program")
-    Term.(
-      const run $ lang_arg $ machine_arg $ machine_file_arg $ file_arg
-      $ opt_arg $ algo_arg $ bb_budget_arg $ superopt_arg $ trace_arg
-      $ fuel_arg $ engine_arg)
+    Term.(const run $ program_term $ fuel_arg $ engine_arg)
 
 let lint_cmd =
   let format_arg =
@@ -451,23 +460,15 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "poll" ] ~doc)
   in
-  let run lang machine machine_file file opt algo bb_budget superopt trace
-      format budget pedantic poll =
-    setup_trace trace;
-    handle_diag (fun () ->
-        let d = resolve_machine machine machine_file in
+  let run p format budget pedantic poll =
+    compiling p (fun d source ->
         (* the first observed pass is "validate": the frontend's own MIR,
            before any transformation — lint findings point at what the
            programmer wrote.  S* never calls observe (no MIR pipeline). *)
         let mir = ref None in
-        let observe _pass p = if !mir = None then mir := Some p in
-        let options =
-          { (options_of ~superopt opt algo bb_budget) with
-            Msl_mir.Pipeline.poll }
-        in
-        let c =
-          Core.Toolkit.compile ~options ~observe lang d (read_file file)
-        in
+        let observe _pass m = if !mir = None then mir := Some m in
+        let options = { p.p_options with Msl_mir.Pipeline.poll } in
+        let c = Core.Toolkit.compile ~options ~observe p.p_lang d source in
         warn_inexact c;
         let config =
           { Msl_mir.Lint.latency_budget = budget; pedantic }
@@ -484,10 +485,10 @@ let lint_cmd =
               findings;
             let warnings = Msl_mir.Diag.warnings findings in
             if findings = [] then
-              Fmt.pr "%s: %d words on %s: no findings@." file
+              Fmt.pr "%s: %d words on %s: no findings@." p.p_file
                 c.Core.Toolkit.c_words d.Desc.d_name
             else
-              Fmt.pr "%s: %d error%s, %d warning%s@." file
+              Fmt.pr "%s: %d error%s, %d warning%s@." p.p_file
                 (List.length errors)
                 (if List.length errors = 1 then "" else "s")
                 (List.length warnings)
@@ -506,9 +507,8 @@ let lint_cmd =
          "Compile a program and audit the result with the independent \
           static analyzer (exit 1 on any error finding)")
     Term.(
-      const run $ lang_arg $ machine_arg $ machine_file_arg $ file_arg
-      $ opt_arg $ algo_arg $ bb_budget_arg $ superopt_arg $ trace_arg
-      $ format_arg $ budget_arg $ pedantic_arg $ poll_arg)
+      const run $ program_term $ format_arg $ budget_arg $ pedantic_arg
+      $ poll_arg)
 
 let verify_cmd =
   let run machine machine_file file =
@@ -745,29 +745,20 @@ let batch_cmd =
           Service.parse_manifest ~file:manifest ~load:read_file
             (read_file manifest)
         in
+        (* a command-line gate turns the manifest's key on for every job *)
         let jobs =
-          if lint then List.map (fun j -> { j with Service.j_lint = true }) jobs
-          else jobs
-        in
-        let jobs =
-          if diff then List.map (fun j -> { j with Service.j_diff = true }) jobs
-          else jobs
-        in
-        let jobs =
-          if validate then
-            List.map (fun j -> { j with Service.j_validate = true }) jobs
-          else jobs
-        in
-        let jobs =
-          if superopt then
-            List.map
-              (fun j ->
-                { j with
-                  Service.j_options =
-                    { j.Service.j_options with Msl_mir.Pipeline.superopt = true }
-                })
-              jobs
-          else jobs
+          List.map
+            (fun (j : Service.job) ->
+              let o = j.Service.j_options in
+              { j with
+                Service.j_lint = j.Service.j_lint || lint;
+                j_diff = j.Service.j_diff || diff;
+                j_validate = j.Service.j_validate || validate;
+                j_options =
+                  { o with
+                    Msl_mir.Pipeline.superopt = o.Msl_mir.Pipeline.superopt || superopt };
+              })
+            jobs
         in
         let policy =
           {
@@ -938,34 +929,32 @@ let stats_cmd =
                 Fmt.pr "  %-32s %6d@." (cat ^ "/" ^ name) cnt)
               instants
         | `Json ->
-            let buf = Buffer.create 1024 in
-            let item first fmt =
-              if not first then Buffer.add_char buf ',';
-              Printf.ksprintf (Buffer.add_string buf) fmt
-            in
-            Printf.ksprintf (Buffer.add_string buf) "{\"events\":%d"
-              (List.length events);
-            Buffer.add_string buf ",\"spans\":[";
-            List.iteri
-              (fun i (cat, name, cnt, tot, mx) ->
-                item (i = 0)
-                  "{\"cat\":%S,\"name\":%S,\"count\":%d,\"total_us\":%.1f,\"max_us\":%.1f}"
-                  cat name cnt tot mx)
-              spans;
-            Buffer.add_string buf "],\"counters\":[";
-            List.iteri
-              (fun i (cat, name, v) ->
-                item (i = 0) "{\"cat\":%S,\"name\":%S,\"value\":%.0f}" cat
-                  name v)
-              counters;
-            Buffer.add_string buf "],\"instants\":[";
-            List.iteri
-              (fun i (cat, name, cnt) ->
-                item (i = 0) "{\"cat\":%S,\"name\":%S,\"count\":%d}" cat name
-                  cnt)
-              instants;
-            Buffer.add_string buf "]}";
-            print_endline (Buffer.contents buf))
+            (* durations keep the 0.1 us resolution of the human form *)
+            let us x = Trace.J_num (Float.round (x *. 10.) /. 10.)
+            and int n = Trace.J_num (float_of_int n)
+            and name cat n = [ ("cat", Trace.J_str cat); ("name", Trace.J_str n) ] in
+            let rows f l = Trace.J_arr (List.map (fun x -> Trace.J_obj (f x)) l) in
+            print_endline
+              (Trace.print_json
+                 (Trace.J_obj
+                    [
+                      ("events", int (List.length events));
+                      ( "spans",
+                        rows
+                          (fun (cat, n, cnt, tot, mx) ->
+                            name cat n
+                            @ [ ("count", int cnt); ("total_us", us tot);
+                                ("max_us", us mx) ])
+                          spans );
+                      ( "counters",
+                        rows
+                          (fun (cat, n, v) ->
+                            name cat n @ [ ("value", Trace.J_num (Float.round v)) ])
+                          counters );
+                      ( "instants",
+                        rows (fun (cat, n, cnt) -> name cat n @ [ ("count", int cnt) ])
+                          instants );
+                    ])))
   in
   Cmd.v
     (Cmd.info "stats"

@@ -22,18 +22,6 @@ type minst =
   | Incm of int  (** mem[a] := mem[a] + 1 *)
   | Decm of int
 
-val encode : minst -> int
-(** @raise Invalid_argument when the operand exceeds 12 bits. *)
-
-val assemble : minst list -> int list
-
-val interpreter_hp3 : string
-(** The microcoded interpreter, in microassembly (fetch / dispatch /
-    execute; PC = R20, ACC = R21, IR = R22). *)
-
-val code_base : int
-(** Where macro code is loaded in main memory. *)
-
 val run :
   ?fuel:int -> ?setup:(Msl_machine.Sim.t -> unit) -> minst list ->
   Msl_machine.Sim.t

@@ -54,9 +54,5 @@ val next_targets : next -> int list
 
 (** {1 Printing} *)
 
-val pp_arg : Desc.t -> Format.formatter -> arg -> unit
-val pp_op : Desc.t -> Format.formatter -> op -> unit
-val pp_next : Desc.t -> Format.formatter -> next -> unit
-
 val pp : Desc.t -> Format.formatter -> t -> unit
 (** Renders as [[op | op | ...] -> sequencing], ops ordered by phase. *)

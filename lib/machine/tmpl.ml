@@ -32,21 +32,6 @@ let alu3 ?(extra = 0) ?(cls = "gpr") ?(set_flags = false) ~phase ~unit_
     t_extra_cycles = extra;
   }
 
-(* Two-operand ALU op whose result is forced into a fixed register (the
-   V11 style the survey calls "baroque"). *)
-let alu2_fixed ?(extra = 0) ?(cls = "gpr") ~dest ~phase ~unit_ ~fields name op =
-  {
-    t_name = name;
-    t_sem = S_binop op;
-    t_operands = [| opread ~name:"a" cls; opread ~name:"b" cls |];
-    t_result = R_reg dest;
-    t_phase = phase;
-    t_units = [ unit_ ];
-    t_fields = fields;
-    t_actions = [ Rtl.Arith (Rtl.D_reg dest, op, Rtl.Opnd 0, Rtl.Opnd 1) ];
-    t_extra_cycles = extra;
-  }
-
 (* Shift by an immediate amount: dst, src, #amount.  Plain shifts leave the
    flags alone so a shift and an ALU op can share a microinstruction; the
    [~set_flags:true] variants update them (needed when the shifted-out "UF"

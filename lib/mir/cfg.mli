@@ -24,9 +24,6 @@ type effects = {
 
 val stmt_effects : Mir.stmt -> effects
 
-val stmt_has_side_effect : Mir.stmt -> bool
-(** Memory write, flag write or barrier: visible beyond the registers. *)
-
 (** {1 The graph} *)
 
 type node = {
@@ -61,13 +58,11 @@ type liveness = { live_in : RSet.t array; live_out : RSet.t array }
 val universe : Mir.program -> RSet.t
 (** Every register the program mentions. *)
 
-val exit_live : univ:RSet.t -> Mir.term -> RSet.t
-(** Registers live after leaving the graph: at [Halt] every physical
-    register (machine state is observable at the console), no virtual
-    ones (they are the compiler's fiction); at [Ret] everything. *)
-
 val live_before : univ:RSet.t -> Mir.stmt -> RSet.t -> RSet.t
 (** Transfer one statement backwards over a live set. *)
 
 val liveness : t -> liveness
-(** Backward fixpoint over the whole graph. *)
+(** Backward fixpoint over the whole graph.  What is live on leaving
+    it: at [Halt] every physical register (machine state is observable
+    at the console) and no virtual one (they are the compiler's
+    fiction); at [Ret] everything. *)

@@ -10,8 +10,6 @@ type ekind = Raw | War | Waw | Mem | Flag_raw | Flag_war | Flag_waw
 type edge = { e_src : int; e_dst : int; e_kind : ekind }
 (** Always [e_src < e_dst] in source order. *)
 
-val ekind_name : ekind -> string
-
 (** {1 Over machine microoperations} *)
 
 type op_info = {
@@ -22,8 +20,6 @@ type op_info = {
   i_mem : bool;
   i_phase : int;
 }
-
-val op_info : Desc.t -> Inst.op -> op_info
 
 val build : Desc.t -> Inst.op array -> op_info array * edge list
 (** All dependence edges of a straight-line block. *)
@@ -38,17 +34,12 @@ val min_delta : chain:bool -> op_info array -> edge -> int
 (** 0 when sharing is allowed, else 1 (strictly later word). *)
 
 val preds_by_dst : int -> edge list -> edge list array
-val succs_by_src : int -> edge list -> edge list array
 
 val path_lengths : chain:bool -> op_info array -> edge list -> int array
 (** Longest dependence chain (in words) starting at each op: the
     list-scheduling priority and the branch-and-bound lower bound. *)
 
-val critical_path : chain:bool -> op_info array -> edge list -> int
-
 (** {1 Over MIR statements (the single-identity order)} *)
-
-val stmt_edges : Mir.stmt list -> edge list
 
 val stmt_levels : Mir.stmt list -> int list
 (** ASAP level of each statement; WAR edges allow sharing a level. *)

@@ -68,8 +68,9 @@ let pp_finding ppf f =
       Fmt.pf ppf "%s[%s] %a: %s" (severity_name f.f_severity) f.f_code
         pp_location loc f.f_message
 
-(* Escaping shared by the sexp and JSON emitters: both accept the JSON
-   string escapes for quote, backslash and control characters. *)
+(* Sexp string escaping: the JSON string escapes for quote, backslash
+   and control characters.  JSON itself goes through
+   [Msl_util.Trace.print_json]. *)
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter
@@ -102,26 +103,35 @@ let finding_to_sexp f =
     (location_to_sexp f.f_loc)
     (escape f.f_message)
 
-let location_to_json = function
-  | L_none -> "null"
+let json_of_location : location -> Msl_util.Trace.json = function
+  | L_none -> J_null
   | L_source l ->
-      Fmt.str "{\"kind\":\"source\",\"at\":\"%s\"}"
-        (escape (Msl_util.Loc.to_string l))
+      J_obj [ ("kind", J_str "source"); ("at", J_str (Msl_util.Loc.to_string l)) ]
   | L_block { block; stmt } ->
-      Fmt.str "{\"kind\":\"block\",\"block\":\"%s\",\"stmt\":%s}" (escape block)
-        (match stmt with None -> "null" | Some i -> string_of_int i)
+      J_obj
+        [
+          ("kind", J_str "block");
+          ("block", J_str block);
+          ("stmt", match stmt with None -> J_null | Some i -> J_num (float i));
+        ]
   | L_word { addr; owner } ->
-      Fmt.str "{\"kind\":\"word\",\"addr\":%d,\"owner\":%s}" addr
-        (match owner with
-        | None -> "null"
-        | Some l -> Fmt.str "\"%s\"" (escape l))
+      J_obj
+        [
+          ("kind", J_str "word");
+          ("addr", J_num (float addr));
+          ("owner", match owner with None -> J_null | Some l -> J_str l);
+        ]
 
-let finding_to_json f =
-  Fmt.str "{\"code\":\"%s\",\"severity\":\"%s\",\"loc\":%s,\"message\":\"%s\"}"
-    (escape f.f_code)
-    (severity_name f.f_severity)
-    (location_to_json f.f_loc)
-    (escape f.f_message)
+let json_of_finding f : Msl_util.Trace.json =
+  J_obj
+    [
+      ("code", J_str f.f_code);
+      ("severity", J_str (severity_name f.f_severity));
+      ("loc", json_of_location f.f_loc);
+      ("message", J_str f.f_message);
+    ]
+
+let finding_to_json f = Msl_util.Trace.print_json (json_of_finding f)
 
 let report_sexp ~machine fs =
   Fmt.str "(lint (machine %s) (errors %d) (warnings %d) (findings%s))" machine
@@ -131,11 +141,14 @@ let report_sexp ~machine fs =
        (List.map (fun f -> "\n  " ^ finding_to_sexp f) fs))
 
 let report_json ~machine fs =
-  Fmt.str "{\"machine\":\"%s\",\"errors\":%d,\"warnings\":%d,\"findings\":[%s]}"
-    (escape machine)
-    (List.length (errors fs))
-    (List.length (warnings fs))
-    (String.concat "," (List.map finding_to_json fs))
+  Msl_util.Trace.print_json
+    (J_obj
+       [
+         ("machine", J_str machine);
+         ("errors", J_num (float (List.length (errors fs))));
+         ("warnings", J_num (float (List.length (warnings fs))));
+         ("findings", J_arr (List.map json_of_finding fs));
+       ])
 
 (* Compiler errors as findings ---------------------------------------- *)
 

@@ -10,8 +10,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_name : severity -> string
-
 (** Where a finding points.  Machine-level findings carry the
     control-store address plus the label of the owning block when the
     linker's label table is available — the provenance chain back to the

@@ -50,9 +50,6 @@ type config = {
   pedantic : bool;  (** report legal same-phase write/read sharing *)
 }
 
-val default_config : config
-(** No latency budget, not pedantic. *)
-
 (** {1 MIR-level analyses} *)
 
 val check_uninit : Mir.program -> Diag.finding list

@@ -13,7 +13,7 @@
    Each pass is an isolated [Mir.program -> Mir.program] function so the
    pass manager can name, time and dump it independently.  All passes
    are semantics-preserving under the observability contract of
-   Cfg.exit_live: physical registers and memory are the program's
+   Cfg.liveness: physical registers and memory are the program's
    observable result, virtual registers are not. *)
 
 open Msl_bitvec

@@ -6,7 +6,7 @@
     semantics-preserving [Mir.program -> Mir.program] rewrite suitable
     for registration with {!Passmgr}.  Observability contract: physical
     registers and memory at program exit are preserved exactly; virtual
-    registers and scratch state are not observable ({!Cfg.exit_live}). *)
+    registers and scratch state are not observable ({!Cfg.liveness}). *)
 
 val constant_fold : Mir.program -> Mir.program
 (** Per-block constant folding and constant propagation.  Flag-setting

@@ -42,8 +42,6 @@ let run ?(observe = fun _ _ -> ()) passes p =
   in
   (p, List.rev rev_timings)
 
-let names passes = List.map (fun p -> p.p_name) passes
-
 let pp_timings ppf timings =
   List.iter
     (fun t -> Fmt.pf ppf "%-15s %8.3f ms@." t.t_pass t.t_ms)

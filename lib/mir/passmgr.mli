@@ -31,6 +31,4 @@ val run :
     each executed pass with the program it produced; the returned
     timings cover executed passes only, in execution order. *)
 
-val names : pass list -> string list
-
 val pp_timings : Format.formatter -> timing list -> unit

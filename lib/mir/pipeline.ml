@@ -338,8 +338,6 @@ let pass_names =
   [ "validate"; "const-fold"; "copy-prop"; "branch-simplify"; "jump-thread";
     "dce"; "lower"; "trapsafe"; "pollpoints"; "regalloc" ]
 
-let backend_pass_names = [ "select+compact"; "superopt"; "link" ]
-
 (* -- entry point -------------------------------------------------------------- *)
 
 let compile ?(options = default_options) ?observe ?capture ?superopt_memo

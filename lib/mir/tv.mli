@@ -55,10 +55,6 @@ type result = {
       (** the first concrete counterexample, for replay *)
 }
 
-val empty_result : result
-
-val validate_artifact : ?config:config -> Desc.t -> artifact -> verdict
-
 val validate_artifacts : ?config:config -> Desc.t -> artifact list -> result
 
 val validate_words :

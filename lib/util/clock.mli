@@ -1,10 +1,9 @@
 (** Monotonic time, via [clock_gettime(CLOCK_MONOTONIC)].
 
-    Use this — never [Unix.gettimeofday] — for deadlines, backoff and
-    latency/queue-wait measurement: wall time steps (NTP, manual
-    clock changes) would make a deadline fire spuriously or never.
-    Wall time remains the right choice only for timestamps that must
-    relate to calendar time, such as a trace file's [t0] epoch. *)
+    Use this — never [Unix.gettimeofday] — for deadlines, backoff,
+    latency/queue-wait measurement and trace timestamps: wall time
+    steps (NTP, manual clock changes) would make a deadline fire
+    spuriously or never, and a trace's spans run backwards. *)
 
 val now_ns : unit -> int64
 (** Nanoseconds from an arbitrary fixed origin.  Strictly ordered with

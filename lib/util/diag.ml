@@ -52,7 +52,3 @@ let to_string t = Fmt.str "%a" pp t
 
 (* Run [f] and return its result or the diagnostic it raised. *)
 let protect f = try Ok (f ()) with Error d -> Error d
-
-let get_ok = function
-  | Ok v -> v
-  | Error d -> invalid_arg (Fmt.str "Diag.get_ok: %a" pp d)

@@ -29,11 +29,7 @@ exception Error of t
 val error : ?loc:Loc.t -> phase -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [error phase fmt ...] raises {!Error} with the formatted message. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val protect : (unit -> 'a) -> ('a, t) result
 (** Run a computation, capturing a raised diagnostic as [Error]. *)
-
-val get_ok : ('a, t) result -> 'a
-(** @raise Invalid_argument with the rendered diagnostic on [Error]. *)

@@ -12,6 +12,4 @@ let of_parts parts =
     parts;
   Digest.bytes (Buffer.to_bytes b)
 
-let to_hex = Digest.to_hex
-
 let equal = String.equal

@@ -9,6 +9,4 @@ type t = private string
 
 val of_parts : string list -> t
 
-val to_hex : t -> string
-
 val equal : t -> t -> bool

@@ -18,8 +18,7 @@ type arg =
 
 type sink = {
   oc : out_channel;
-  owned : bool;  (* close on disable *)
-  t0 : float;  (* clock origin, seconds *)
+  t0 : float;  (* clock origin, seconds on {!Clock} *)
   mutable seq : int;
 }
 
@@ -38,14 +37,6 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let install oc owned =
-  locked (fun () ->
-      (match !state with
-      | Some _ -> invalid_arg "Trace.enable: tracing is already enabled"
-      | None -> ());
-      state := Some { oc; owned; t0 = Unix.gettimeofday (); seq = 0 };
-      Atomic.set flag true)
-
 let disable () =
   locked (fun () ->
       match !state with
@@ -53,16 +44,20 @@ let disable () =
       | Some s ->
           Atomic.set flag false;
           state := None;
-          flush s.oc;
-          if s.owned then close_out s.oc)
-
-let enable oc = install oc false
+          close_out s.oc)
 
 let at_exit_registered = ref false
 
 let enable_file path =
   let oc = open_out path in
-  install oc true;
+  locked (fun () ->
+      (match !state with
+      | Some _ ->
+          close_out oc;
+          invalid_arg "Trace.enable_file: tracing is already enabled"
+      | None -> ());
+      state := Some { oc; t0 = Clock.now_s (); seq = 0 };
+      Atomic.set flag true);
   (* drivers exit through [exit]; make sure the trace is complete *)
   if not !at_exit_registered then begin
     at_exit_registered := true;
@@ -100,7 +95,7 @@ let add_arg buf (k, v) =
 
 (* One event line.  Called with the lock held. *)
 let emit_locked s ~ph ~cat ~name ~args =
-  let ts = (Unix.gettimeofday () -. s.t0) *. 1e6 in
+  let ts = (Clock.now_s () -. s.t0) *. 1e6 in
   let tid = (Domain.self () :> int) in
   s.seq <- s.seq + 1;
   let buf = Buffer.create 128 in
@@ -176,9 +171,12 @@ let rec add_json buf = function
   | J_null -> Buffer.add_string buf "null"
   | J_bool b -> Buffer.add_string buf (string_of_bool b)
   | J_num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%g" f)
+      Buffer.add_string buf
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+         else
+           (* the shortest of the two forms that reads back equal *)
+           let short = Printf.sprintf "%.15g" f in
+           if float_of_string short = f then short else Printf.sprintf "%.17g" f)
   | J_str s ->
       Buffer.add_char buf '"';
       escape buf s;

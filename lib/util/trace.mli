@@ -1,7 +1,8 @@
 (** Process-wide tracing and metrics.
 
     One global, mutex-protected facility shared by every layer of the
-    toolkit: spans (begin/end pairs with wall-clock timestamps),
+    toolkit: spans (begin/end pairs with timestamps on the monotonic
+    {!Clock}),
     monotone counters, and instant events, written as Chrome-trace
     events in JSONL form (one JSON object per line; loadable by
     Perfetto / chrome://tracing, which accept the array format without
@@ -24,19 +25,15 @@ type arg =
 val enabled : unit -> bool
 (** One atomic load: the branch every emission function takes first. *)
 
-val enable : out_channel -> unit
-(** Start writing events to the channel.  The caller keeps ownership;
-    {!disable} flushes but does not close it. *)
-
 val enable_file : string -> unit
-(** [enable] on a freshly created file, owned by the tracer: closed by
-    {!disable} (and by an [at_exit] safety net, so traces survive
-    [exit] inside a driver).
-    @raise Sys_error when the file cannot be created. *)
+(** Start writing events to a freshly created file, owned by the
+    tracer: closed by {!disable} (and by an [at_exit] safety net, so
+    traces survive [exit] inside a driver).
+    @raise Sys_error when the file cannot be created.
+    @raise Invalid_argument when tracing is already enabled. *)
 
 val disable : unit -> unit
-(** Flush and stop tracing (closing the sink only if {!enable_file}
-    opened it).  No-op when already disabled. *)
+(** Stop tracing and close the file.  No-op when already disabled. *)
 
 (** {1 Emission} *)
 
@@ -87,20 +84,18 @@ val print_json : json -> string
     reads back.  Strings escape the double quote, the backslash, newline,
     carriage return and tab, and write any other control character as a
     [\u] escape.  A number that is an integer below 1e15 prints without
-    a fraction, any other number as [%g]. *)
+    a fraction, any other number as [%.15g], or as [%.17g] when the
+    shorter form would not read back equal. *)
 
 type event = {
   ev_seq : int;  (** global emission order, strictly increasing *)
-  ev_ts : float;  (** microseconds since {!enable} *)
+  ev_ts : float;  (** microseconds since {!enable_file} *)
   ev_ph : string;  (** "B", "E", "C" or "i" *)
   ev_tid : int;  (** emitting domain id *)
   ev_cat : string;
   ev_name : string;
   ev_args : (string * json) list;
 }
-
-val parse_event : string -> (event, string) result
-(** Parse one trace line, checking the required fields. *)
 
 val read_events : string -> (event list, string) result
 (** Parse a whole trace file (blank lines ignored); [Error] names the

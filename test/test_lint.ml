@@ -392,7 +392,54 @@ let test_renderers () =
   Alcotest.(check string) "json escaping"
     "{\"code\":\"x\",\"severity\":\"error\",\"loc\":null,\"message\":\"a \
      \\\"quoted\\\"\\nline\"}"
-    (Diag.finding_to_json e)
+    (Diag.finding_to_json e);
+  (* every location kind, and every escaped character, parses back *)
+  let src =
+    let pos = { Msl_util.Loc.line = 3; col = 2; offset = 40 } in
+    Msl_util.Loc.make ~file:"p.yll" ~start_pos:pos ~end_pos:pos
+  in
+  let fs =
+    [
+      Diag.finding ~loc:(Diag.L_source src) ~code:"s" "q\"b\\n\nr\rt\t";
+      Diag.finding ~loc:(Diag.L_block { block = "b"; stmt = None }) ~code:"b" "m";
+      Diag.finding ~loc:(Diag.L_block { block = "b"; stmt = Some 2 }) ~code:"b" "m";
+      Diag.finding ~loc:(Diag.L_word { addr = 7; owner = None }) ~code:"w" "m";
+    ]
+  in
+  let expected =
+    let open Msl_util.Trace in
+    let n i = J_num (float_of_int i) in
+    let finding code loc msg =
+      J_obj
+        [ ("code", J_str code); ("severity", J_str "error"); ("loc", loc);
+          ("message", J_str msg) ]
+    in
+    let block stmt =
+      J_obj [ ("kind", J_str "block"); ("block", J_str "b"); ("stmt", stmt) ]
+    in
+    J_obj
+      [
+        ("machine", J_str "B17");
+        ("errors", n 4);
+        ("warnings", n 0);
+        ( "findings",
+          J_arr
+            [
+              finding "s"
+                (J_obj
+                   [ ("kind", J_str "source");
+                     ("at", J_str (Msl_util.Loc.to_string src)) ])
+                "q\"b\\n\nr\rt\t";
+              finding "b" (block J_null) "m";
+              finding "b" (block (n 2)) "m";
+              finding "w"
+                (J_obj [ ("kind", J_str "word"); ("addr", n 7); ("owner", J_null) ])
+                "m";
+            ] );
+      ]
+  in
+  Alcotest.(check bool) "json report parses back" true
+    (Msl_util.Trace.parse_json (Diag.report_json ~machine:"B17" fs) = Ok expected)
 
 let test_compiler_error () =
   match Toolkit.compile Toolkit.Yalll Machines.hp3 "?? not yalll ??" with

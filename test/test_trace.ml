@@ -74,6 +74,14 @@ let test_print_json () =
          ("xs", Trace.J_arr [ Trace.J_num (-3.0); Trace.J_null; Trace.J_arr [] ]);
          ("o", Trace.J_obj []);
        ]);
+  (* non-integers read back equal, in the shortest form that does *)
+  List.iter
+    (fun f -> back (Printf.sprintf "number %h" f) (Trace.J_num f))
+    [ 1234567.5; 3.14159265; 0.1; 1. /. 3.; -2.5e-300; 1e15; 2. ** 60. ];
+  Alcotest.(check string) "shortest form" "[1234567.5,3.14159265,0.1]"
+    (Trace.print_json
+       (Trace.J_arr
+          [ Trace.J_num 1234567.5; Trace.J_num 3.14159265; Trace.J_num 0.1 ]));
   Alcotest.(check string)
     "byte form" {|{"a":"\"\\\n\r\t\u0001","b":[1,2.5,null]}|}
     (Trace.print_json
