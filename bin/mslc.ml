@@ -92,6 +92,18 @@ let trace_arg =
    flush/close, so the trace survives the driver's explicit exits. *)
 let setup_trace = Option.iter Trace.enable_file
 
+(* Service.create clamps the worker count at the host's recommended
+   domain count; an explicit -j above it is reported, once. *)
+let warn_clamped ~requested service =
+  let used = Core.Service.domains service in
+  match requested with
+  | Some n when used < n ->
+      Fmt.epr
+        "mslc: warning: -j %d clamped to %d worker domains (the host's \
+         recommended domain count)@."
+        n used
+  | _ -> ()
+
 let lang_arg =
   let doc = "Source language: simpl, empl, sstar or yalll." in
   Arg.(
@@ -614,7 +626,10 @@ let batch_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"MANIFEST")
   in
   let domains_arg =
-    let doc = "Worker domains for the fan-out (default: the service default)." in
+    let doc =
+      "Worker domains for the fan-out, the calling domain included \
+       (default: up to 4; clamped at the host's recommended domain count)."
+    in
     Arg.(
       value
       & opt (some positive_int) None
@@ -777,6 +792,7 @@ let batch_cmd =
           }
         in
         let service = Service.create ?domains ~capacity:cap ?cache_dir () in
+        warn_clamped ~requested:domains service;
         let failed = ref false in
         for round = 1 to rounds do
           if rounds > 1 then Fmt.pr "== round %d@." round;
@@ -973,7 +989,10 @@ let socket_arg =
 let serve_cmd =
   let module Serve = Msl_core.Serve in
   let domains_arg =
-    let doc = "Worker domains compiling concurrently (default: up to 4)." in
+    let doc =
+      "Worker domains compiling concurrently (default: up to 4; clamped at \
+       the host's recommended domain count)."
+    in
     Arg.(
       value & opt (some positive_int) None & info [ "domains"; "j" ] ~docv:"N" ~doc)
   in
@@ -1026,8 +1045,10 @@ let serve_cmd =
                shut it down first)"
               socket
         in
+        let service = Serve.service srv in
+        warn_clamped ~requested:domains service;
         Fmt.epr "mslc serve: listening on %s (%d domains)@." socket
-          (Msl_core.Service.domains (Serve.service srv));
+          (Msl_core.Service.domains service);
         Serve.wait srv)
   in
   Cmd.v

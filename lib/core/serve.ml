@@ -640,7 +640,7 @@ let handle_conn srv fd =
         {
           cl_id = srv.next_client;
           cl_pending = Queue.create ();
-          cl_out = Safe_queue.create ~capacity:srv.cfg.sc_client_cap ();
+          cl_out = Safe_queue.create ~capacity:srv.cfg.sc_client_cap;
           cl_in_flight = 0;
           cl_gone = false;
           cl_eof = false;

@@ -7,7 +7,6 @@ module Compaction = Msl_mir.Compaction
 module Regalloc = Msl_mir.Regalloc
 module Diag = Msl_util.Diag
 module Fingerprint = Msl_util.Fingerprint
-module Safe_queue = Msl_util.Safe_queue
 module Trace = Msl_util.Trace
 
 type job = {
@@ -93,8 +92,10 @@ type t = {
   mutable canceled : int;
 }
 
-let default_domains () =
-  max 1 (min 4 (Domain.recommended_domain_count ()))
+(* A worker beyond the host's cores is one more domain that every
+   stop-the-world minor collection waits on, so every worker count,
+   explicit or default, stops at the recommended domain count. *)
+let clamp_domains n = min n (Domain.recommended_domain_count ())
 
 (* A crash between a tmp write and its rename (disk_store/memo_add
    below) strands a "<name>.tmp.<pid>.<domain>" file forever — a slow
@@ -140,8 +141,8 @@ let sweep_stale_tmp dir =
         names
 
 let create ?domains ?(capacity = 4096) ?cache_dir () =
-  let n_domains = match domains with Some n -> n | None -> default_domains () in
-  if n_domains < 1 then invalid_arg "Service.create: domains must be positive";
+  let domains = Option.value domains ~default:4 in
+  if domains < 1 then invalid_arg "Service.create: domains must be positive";
   if capacity < 1 then invalid_arg "Service.create: capacity must be positive";
   (match cache_dir with
   | None -> ()
@@ -159,7 +160,7 @@ let create ?domains ?(capacity = 4096) ?cache_dir () =
   Printexc.record_backtrace true;
   {
     capacity;
-    n_domains;
+    n_domains = clamp_domains domains;
     disk = cache_dir;
     mutex = Mutex.create ();
     table = Hashtbl.create 64;
@@ -779,11 +780,12 @@ let run_batch ?domains ?(policy = default_policy) ?(faults = no_faults) t jobs =
   let n_workers =
     match domains with
     | Some n when n < 1 -> invalid_arg "Service.run_batch: domains must be positive"
-    | Some n -> n
+    | Some n -> clamp_domains n
     | None -> t.n_domains
   in
   let jobs = Array.of_list jobs in
-  let results = Array.make (Array.length jobs) None in
+  let n_jobs = Array.length jobs in
+  let results = Array.make n_jobs None in
   (* Per-job spans carry the queue wait (time between batch submission and
      the moment a worker picked the job up) so a trace shows pool
      contention, not just compile time.  The tid on each event is the
@@ -831,39 +833,45 @@ let run_batch ?domains ?(policy = default_policy) ?(faults = no_faults) t jobs =
       o
     end
   in
-  if n_workers = 1 || Array.length jobs <= 1 then
-    Array.iteri (fun i j -> results.(i) <- Some (one i j)) jobs
-  else begin
-    let queue = Safe_queue.create () in
-    Array.iteri
-      (fun i j ->
-        (* the queue is not closed until after the loop: push accepted *)
-        let (_ : bool) = Safe_queue.push queue (i, j) in
-        ())
-      jobs;
-    Safe_queue.close queue;
-    let worker () =
-      let rec loop () =
-        match Safe_queue.pop queue with
-        | None -> ()
-        | Some (i, j) ->
-            (* distinct slots per worker; Domain.join publishes the writes *)
-            results.(i) <- Some (one i j);
-            loop ()
-      in
-      loop ()
-    in
-    let pool =
-      List.init
-        (min n_workers (Array.length jobs))
-        (fun _ -> Domain.spawn worker)
-    in
-    List.iter Domain.join pool
-  end;
+  (* The calling domain is one of the workers and only the rest are
+     spawned: a caller idle in Domain.join still stops for every minor
+     collection (DESIGN.md, "Worker pool").  Each worker takes the next
+     index from one counter; an exception past the firewall (Exit,
+     Sys.Break) moves it past the end, which stops every worker's
+     pickups. *)
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n_jobs then begin
+      (* distinct slots per worker; Domain.join publishes the writes *)
+      results.(i) <- Some (one i jobs.(i));
+      work ()
+    end
+  in
+  let worker () =
+    try work ()
+    with e ->
+      Atomic.set next n_jobs;
+      raise e
+  in
+  let helpers =
+    List.init (max 0 (min n_workers n_jobs - 1)) (fun _ -> Domain.spawn worker)
+  in
+  (* every helper is joined, even after a failure, so no domain writes
+     into [results] once this returns *)
+  let failure f =
+    match f () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  let joins = List.map (fun d () -> Domain.join d) helpers in
+  (match List.filter_map failure (worker :: joins) with
+  | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+  | [] -> ());
   Array.map
     (function
       | Some o -> o
-      | None -> assert false (* every index was queued and popped *))
+      | None -> assert false (* every index was picked up *))
     results
 
 (* -- in-process cached entry points ------------------------------------------------ *)

@@ -117,8 +117,10 @@ type faults = {
 type t
 
 val create : ?domains:int -> ?capacity:int -> ?cache_dir:string -> unit -> t
-(** [domains] is the default worker-pool size for {!run_batch}
-    (default: the smaller of 4 and the recommended domain count);
+(** [domains] is the default worker count for {!run_batch} (default
+    4).  It is clamped at [Domain.recommended_domain_count ()]: a worker
+    beyond the host's cores only adds a domain that every stop-the-world
+    minor collection waits on.  {!domains} returns the clamped count;
     [capacity] bounds the in-memory cache, evicting oldest-inserted
     entries (default 4096).  [cache_dir] adds a persistent
     content-addressed layer under the memory cache: one file per
@@ -139,6 +141,8 @@ val create : ?domains:int -> ?capacity:int -> ?cache_dir:string -> unit -> t
     directory cannot be created. *)
 
 val domains : t -> int
+(** The effective worker count: [create]'s [domains], clamped. *)
+
 val stats : t -> stats
 
 val clear : t -> unit
@@ -169,13 +173,19 @@ val compile_job : ?policy:policy -> ?faults:faults -> t -> job -> outcome
 val run_batch :
   ?domains:int -> ?policy:policy -> ?faults:faults -> t -> job list ->
   outcome array
-(** Fan the jobs out over a worker pool ([domains] overrides the
-    service default; 1 runs everything on the calling domain) and
-    return the outcomes in job order — always one outcome per job: a
-    crashing job fails alone behind its firewall and cannot abort the
-    batch.  Deterministic: the outcome values do not depend on the pool
-    size (under fail-fast, {e which} jobs are canceled does depend on
-    pickup order). *)
+(** Fan the jobs out over [domains] workers ([domains] overrides the
+    service default and is clamped like {!create}'s) and return the
+    outcomes in job order.  The calling domain is one of the workers:
+    only [min domains njobs - 1] domains are spawned, and each worker
+    takes the next job index from one shared atomic counter.  With one
+    worker everything runs on the calling domain, in job order.  There
+    is always one outcome per job: a crashing job fails alone behind
+    its firewall and cannot abort the batch.  Only [Exit] and
+    [Sys.Break] pass the firewall; they stop further pickups on every
+    worker, and every spawned domain is joined before the first one is
+    re-raised.  Deterministic: the outcome values do not depend on the
+    worker count (under fail-fast, {e which} jobs are canceled does
+    depend on pickup order). *)
 
 val compile_cached :
   t ->

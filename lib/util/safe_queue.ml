@@ -1,19 +1,19 @@
-(* Mutex/condition-protected FIFO work queue (OCaml 5 domains),
-   optionally bounded.  A bounded queue implements pushback-style
-   negotiated flow: [push] blocks on [nonfull] while the queue is at
-   capacity, so a fast producer is slowed to the consumers' pace
-   instead of growing the queue without bound. *)
+(* Mutex/condition-protected bounded FIFO queue (OCaml 5 domains and
+   threads).  The bound implements pushback-style negotiated flow:
+   [push] blocks on [nonfull] while the queue is at capacity, so a fast
+   producer is slowed to the consumers' pace instead of growing the
+   queue without bound. *)
 
 type 'a t = {
   q : 'a Queue.t;
-  capacity : int;  (* max_int when unbounded *)
+  capacity : int;
   mutex : Mutex.t;
   nonempty : Condition.t;
   nonfull : Condition.t;
   mutable closed : bool;
 }
 
-let create ?(capacity = max_int) () =
+let create ~capacity =
   if capacity < 1 then invalid_arg "Safe_queue.create: capacity < 1";
   { q = Queue.create (); capacity; mutex = Mutex.create ();
     nonempty = Condition.create (); nonfull = Condition.create ();

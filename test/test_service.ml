@@ -90,6 +90,28 @@ let test_domain_count_invariance () =
   check_identical "1 domain" expected got1;
   check_identical "4 domains" expected got4
 
+(* The edges of the fan-out: no jobs, one job, fewer jobs than workers. *)
+let test_batch_edges () =
+  List.iter
+    (fun (domains, n) ->
+      let js = List.filteri (fun i _ -> i < n) (jobs ()) in
+      check_identical
+        (Printf.sprintf "%d jobs, %d domains" n domains)
+        (reference_listings js)
+        (outcome_listings (Service.run_batch ~domains (Service.create ()) js)))
+    [ (1, 0); (4, 0); (4, 1); (8, 3) ]
+
+(* More workers than the host has cores are clamped, in create and in
+   run_batch alike, and the outcomes do not change. *)
+let test_domains_clamped () =
+  let s = Service.create ~domains:1000 () in
+  Alcotest.(check int) "clamped at the recommended count"
+    (min 1000 (Domain.recommended_domain_count ()))
+    (Service.domains s);
+  let js = jobs () in
+  check_identical "1000 domains asked" (reference_listings js)
+    (outcome_listings (Service.run_batch ~domains:1000 s js))
+
 let test_warm_cache_invariance () =
   let js = jobs () in
   let expected = reference_listings js in
@@ -1126,6 +1148,10 @@ let () =
             test_domain_count_invariance;
           Alcotest.test_case "warm cache = cold cache" `Quick
             test_warm_cache_invariance;
+          Alcotest.test_case "empty, 1-job and short batches" `Quick
+            test_batch_edges;
+          Alcotest.test_case "worker count clamped at the cores" `Quick
+            test_domains_clamped;
         ] );
       ( "cache",
         [

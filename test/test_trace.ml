@@ -214,6 +214,25 @@ let test_concurrent_batch_stream () =
   Alcotest.(check bool) "cache counters present" true
     (Hashtbl.mem last ("service", "cache_misses"))
 
+(* The calling domain is one of the workers: at 2 domains the job spans
+   come from at most 2 domains, the caller's among them; at 1 domain they
+   all come from the caller. *)
+let test_caller_works () =
+  let job_tids domains =
+    traced (fun () ->
+        ignore (Service.run_batch ~domains (Service.create ()) (batch_jobs ())))
+    |> List.filter_map (fun e ->
+           if e.Trace.ev_cat = "service" && e.Trace.ev_name = "job" then
+             Some e.Trace.ev_tid
+           else None)
+    |> List.sort_uniq compare
+  in
+  let caller = (Domain.self () :> int) in
+  let two = job_tids 2 in
+  Alcotest.(check bool) "the caller ran jobs" true (List.mem caller two);
+  Alcotest.(check bool) "at most 2 workers" true (List.length two <= 2);
+  Alcotest.(check (list int)) "1 domain: the caller only" [ caller ] (job_tids 1)
+
 (* -- the disabled fast path ------------------------------------------------ *)
 
 let test_disabled_allocates_nothing () =
@@ -256,6 +275,8 @@ let () =
         [
           Alcotest.test_case "4-domain batch stream invariants" `Quick
             test_concurrent_batch_stream;
+          Alcotest.test_case "the calling domain is a worker" `Quick
+            test_caller_works;
         ] );
       ( "disabled path",
         [

@@ -90,7 +90,7 @@ let test_tbl () =
 (* -- the work queue -------------------------------------------------------- *)
 
 let test_queue_fifo () =
-  let q = Safe_queue.create () in
+  let q = Safe_queue.create ~capacity:4 in
   check_bool "push 1" true (Safe_queue.push q 1);
   check_bool "push 2" true (Safe_queue.push q 2);
   check_int "length" 2 (Safe_queue.length q);
@@ -106,7 +106,7 @@ let test_queue_fifo () =
 (* The push-after-close race: a producer racing close must see a
    rejected push, not an exception that would kill its domain. *)
 let test_queue_push_after_close () =
-  let q = Safe_queue.create () in
+  let q = Safe_queue.create ~capacity:4 in
   check_bool "open push accepted" true (Safe_queue.push q 1);
   Safe_queue.close q;
   check_bool "closed push rejected" false (Safe_queue.push q 2);
@@ -126,7 +126,7 @@ let test_queue_push_after_close () =
    blocked pusher runs in its own domain so the test can observe the
    block from outside. *)
 let test_queue_bounded_blocks () =
-  let q = Safe_queue.create ~capacity:2 () in
+  let q = Safe_queue.create ~capacity:2 in
   check_bool "push 1" true (Safe_queue.push q 1);
   check_bool "push 2" true (Safe_queue.push q 2);
   let entered = Atomic.make false in
@@ -158,7 +158,7 @@ let test_queue_bounded_blocks () =
 (* close must wake a pusher blocked on a full queue, which then reports
    the rejected push instead of sleeping forever. *)
 let test_queue_bounded_close_wakes_pusher () =
-  let q = Safe_queue.create ~capacity:1 () in
+  let q = Safe_queue.create ~capacity:1 in
   check_bool "push 1" true (Safe_queue.push q 1);
   let d = Domain.spawn (fun () -> Safe_queue.push q 2) in
   Unix.sleepf 0.05;
@@ -170,7 +170,7 @@ let test_queue_bounded_close_wakes_pusher () =
     "only the accepted item drains" [ Some 1; None ] [ p1; p2 ]
 
 let test_queue_bad_capacity () =
-  match Safe_queue.create ~capacity:0 () with
+  match Safe_queue.create ~capacity:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for capacity 0"
 
