@@ -1,7 +1,8 @@
 (* S* with verification (§2.2.3): the paper's MPY program running on H1
-   with programmer-composed microinstructions, plus a small verified
-   program whose proof obligations are discharged over machine arithmetic
-   (including the survey's INC-overflow subtlety).
+   with programmer-composed microinstructions, plus a small annotated
+   program whose proof obligations are checked over machine arithmetic
+   (including the survey's INC-overflow subtlety), with the proved,
+   unknown and refuted counts reported as they are.
 
      dune exec examples/verified_multiply.exe *)
 
@@ -58,13 +59,16 @@ let () =
   Fmt.pr "12 * 34 = %d, computed in %d microinstructions (%d cycles)@.@."
     (Bitvec.to_int (Sim.get_reg sim "R3"))
     (Sim.insts_executed sim) (Sim.cycles sim);
-  Fmt.pr "== Verified summation (Hoare-style, machine arithmetic) ==@.";
+  Fmt.pr "== Annotated summation (Hoare-style, machine arithmetic) ==@.";
   let vd = Machines.hp3 in
   let report = Sstar.Verify.verify vd (Sstar.Parser.parse verified_src) in
+  (* 24 live bits exceed the 18-bit exhaustive budget: the obligations
+     survive every sampled and corner-value store, which is not a proof *)
   Fmt.pr "%a@." Sstar.Verify.pp_report report;
   Fmt.pr "verdict: %s@."
-    (if Sstar.Verify.ok report then "all obligations discharged"
-     else "verification FAILED");
+    (if not (Sstar.Verify.ok report) then "verification FAILED"
+     else if report.Sstar.Verify.unknown = 0 then "every obligation proved"
+     else "nothing refuted, but the unknown obligations are not proved");
   (* and the survey's wraparound point: an unguarded increment claim is
      refutable in 16-bit machine arithmetic *)
   let bogus =
@@ -72,6 +76,7 @@ let () =
      post { x > 0 };\nbegin x := x + 1 end\n"
   in
   let r2 = Sstar.Verify.verify vd (Sstar.Parser.parse bogus) in
-  Fmt.pr "@.unguarded INC claim (x+1 > 0): %s@."
+  Fmt.pr "@.%a@." Sstar.Verify.pp_report r2;
+  Fmt.pr "unguarded INC claim (x+1 > 0): %s@."
     (if Sstar.Verify.ok r2 then "proved (unexpected!)"
      else "refuted, as the survey's modified INC rule predicts")

@@ -688,8 +688,7 @@ let diff_gate (c : Toolkit.compiled) =
    recompile's, which must reproduce the cached words exactly or the
    proof would cover words the job does not serve.  Strict on purpose:
    REFUTED and UNKNOWN both fail, so a clean gated batch certifies that
-   every block was proved (or dynamically revalidated), not merely that
-   none was refuted. *)
+   every block was proved, not merely that none was refuted. *)
 let validate_gate t (j : job) captured (c : Toolkit.compiled) =
   let machine = c.Toolkit.c_machine in
   let recompile () =

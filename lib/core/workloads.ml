@@ -621,8 +621,8 @@ let inject_defect d ~seed defect insts =
    asked for where none exists (a swapped pair may commute; a dropped
    word may be dead). *)
 
-module Tv = Msl_mir.Tv
 module Udiag = Msl_util.Diag
+module Bitvec = Msl_bitvec.Bitvec
 
 type miscompile = M_swap_dep | M_drop_word | M_retarget | M_perturb_operand
 
@@ -738,24 +738,88 @@ let perturb_mutants (d : Desc.t) insts =
                            word.Inst.ops);
                     ])))
 
+(* -- differential replay ------------------------------------------------- *)
+
+let seeded_assignments (d : Desc.t) ~seed ~n =
+  let r = { s = Int64.of_int ((seed * 2654435761) + 17) } in
+  (* the whole 64-bit state, not [next]'s masked draw *)
+  let next () = ignore (next r); r.s in
+  List.init n (fun k ->
+      let reg_val (r : Desc.reg) =
+        if k = 0 then Bitvec.zero r.Desc.r_width
+        else if k = 1 then Bitvec.ones r.Desc.r_width
+        else Bitvec.of_int64 ~width:r.Desc.r_width (next ())
+      in
+      let flag_val _ = if k < 2 then k = 1 else Int64.rem (next ()) 2L = 0L in
+      Array.to_list
+        (Array.map
+           (fun (r : Desc.reg) ->
+             (Symexec.reg_var_name r.Desc.r_name, reg_val r))
+           d.Desc.d_regs)
+      @ List.map
+          (fun f ->
+            (Symexec.flag_var_name f, Bitvec.of_bool (flag_val f)))
+          Rtl.all_flags)
+
+let apply_assignment (d : Desc.t) sim (cx : Symexec.assignment) =
+  List.iter
+    (fun (name, v) ->
+      Array.iter
+        (fun (r : Desc.reg) ->
+          if name = Symexec.reg_var_name r.Desc.r_name then
+            Sim.set_reg sim r.Desc.r_name v)
+        d.Desc.d_regs;
+      List.iter
+        (fun f ->
+          if name = Symexec.flag_var_name f then
+            Sim.set_flag sim f (Bitvec.lsb v))
+        Rtl.all_flags)
+    cx
+
+(* Architectural state only: the pc/cycle/traffic counters in
+   [Sim.state_digest] legitimately differ between a program and a
+   reordered or mutated copy. *)
+let arch_digest (d : Desc.t) sim =
+  let b = Buffer.create 256 in
+  Array.iter
+    (fun (r : Desc.reg) ->
+      Buffer.add_string b r.Desc.r_name;
+      Buffer.add_char b '=';
+      Buffer.add_string b (Bitvec.to_string (Sim.get_reg_id sim r.Desc.r_id));
+      Buffer.add_char b '\n')
+    d.Desc.d_regs;
+  List.iter
+    (fun f ->
+      Buffer.add_string b (Rtl.flag_name f);
+      Buffer.add_char b (if Sim.get_flag sim f then '1' else '0'))
+    Rtl.all_flags;
+  Buffer.add_char b '\n';
+  let mem = Sim.memory sim in
+  for a = 0 to Memory.size mem - 1 do
+    let v = Memory.peek mem a in
+    if not (Bitvec.is_zero v) then
+      Buffer.add_string b (Printf.sprintf "m%d=%s\n" a (Bitvec.to_string v))
+  done;
+  Buffer.contents b
+
+let observe (d : Desc.t) insts store =
+  try
+    let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
+    Sim.load_store sim insts;
+    apply_assignment d sim store;
+    let status =
+      match Sim.run ~fuel:4096 sim with
+      | Sim.Halted -> "halted\n"
+      | Sim.Out_of_fuel -> "fuel\n"
+    in
+    status ^ arch_digest d sim
+  with Udiag.Error di -> "fault:" ^ di.Udiag.message
+
 (* Differential probe: does the mutant observably diverge from the
    original on some seeded input store?  Returns that store. *)
 let miscompile_probe (d : Desc.t) ~seed original mutant =
-  let run insts a =
-    try
-      let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
-      Sim.load_store sim insts;
-      Tv.apply_assignment d sim a;
-      let status =
-        match Sim.run ~fuel:4096 sim with
-        | Sim.Halted -> "halted\n"
-        | Sim.Out_of_fuel -> "fuel\n"
-      in
-      status ^ Tv.arch_digest d sim
-    with Udiag.Error di -> "fault:" ^ di.Udiag.message
-  in
-  Tv.seeded_assignments d ~seed ~n:4
-  |> List.find_opt (fun a -> run original a <> run mutant a)
+  seeded_assignments d ~seed ~n:4
+  |> List.find_opt (fun a -> observe d original a <> observe d mutant a)
 
 let inject_miscompile (d : Desc.t) ~seed kind insts =
   let mutants =

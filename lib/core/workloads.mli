@@ -108,10 +108,36 @@ val inject_miscompile :
 (** Deterministically mutate a compiled program, the seed rotating the
     site order.  Every returned mutant is probe-confirmed: the returned
     witness store (symbolic variable naming, replayable through
-    {!Msl_mir.Tv.apply_assignment}) makes a differential run against the
+    {!apply_assignment}) makes a differential run against the
     original diverge in architectural state.  [None] when no site yields
     an observable divergence — a swapped pair may commute, a dropped word
     may be dead. *)
+
+(** {1 Differential replay}
+
+    Stores name their inputs as {!Msl_machine.Symexec} does ([r:NAME],
+    [f:X]), so a Tv or S* counterexample replays like a probe store. *)
+
+val seeded_assignments :
+  Msl_machine.Desc.t -> seed:int -> n:int -> Msl_machine.Symexec.assignment list
+(** [n] deterministic stores over every register and flag: all-zeros
+    (so a divergence found there replays on a freshly reset simulator),
+    all-ones, then seeded random. *)
+
+val apply_assignment :
+  Msl_machine.Desc.t -> Msl_machine.Sim.t -> Msl_machine.Symexec.assignment ->
+  unit
+(** Write a store into a simulator, skipping names that are not a register
+    or flag of the machine (havoc-prefixed inputs, S* memory cells). *)
+
+val observe :
+  Msl_machine.Desc.t -> Msl_machine.Inst.t list ->
+  Msl_machine.Symexec.assignment -> string
+(** Run the program from the store on a fresh simulator (faults are
+    errors, 4096 cycles of fuel): the halt status plus the architectural
+    state (registers, flags, nonzero memory; not the pc/cycle counters),
+    or the fault message.  Two programs diverge on a store when their
+    observations differ. *)
 
 val miscompile_probe :
   Msl_machine.Desc.t -> seed:int ->

@@ -12,8 +12,10 @@
    decision procedure: identical hash-consed terms are equal
    by construction; small memory-free goals are settled by exhaustive
    concrete evaluation over the live input bits; everything else is
-   sampled under a seeded store, which can refute with a concrete
-   counterexample but never prove — that residue is [Unknown].
+   tried under seeded and corner-value stores, which can refute with a
+   concrete counterexample but never prove — that residue is [Unknown].
+   The S* verifier poses its verification conditions to the same
+   procedure.
 
    Hash-consing is per-[ctx], not global: validation runs inside the batch
    service's worker domains, and a shared table would be a data race. *)
@@ -330,92 +332,121 @@ type env = {
   e_mem : int -> int64;  (* initial memory, by word address *)
 }
 
-let eval env t0 =
-  let memo : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some v -> v
-    | None ->
-        let v = compute t in
-        Hashtbl.add memo t.id v;
-        v
-  and compute t =
-    match t.node with
-    | Var n -> Bitvec.resize ~width:t.width (env.e_var n)
-    | Const v -> v
-    | Add (a, b) -> Bitvec.add (go a) (go b)
-    | Sub (a, b) -> Bitvec.sub (go a) (go b)
-    | And (a, b) -> Bitvec.logand (go a) (go b)
-    | Or (a, b) -> Bitvec.logor (go a) (go b)
-    | Xor (a, b) -> Bitvec.logxor (go a) (go b)
-    | Mul (a, b) -> Bitvec.mul (go a) (go b)
-    | Not a -> Bitvec.lognot (go a)
-    | Slice (a, hi, lo) -> Bitvec.extract ~hi ~lo (go a)
-    | Concat (a, b) -> Bitvec.concat (go a) (go b)
-    | Zext a -> Bitvec.resize ~width:t.width (go a)
-    | Mux (c, a, b) -> if Bitvec.is_zero (go c) then go b else go a
-    | Alu (op, a, b) -> fst (Rtl.eval_abinop op (go a) (go b) ~carry_in:false)
-    | Alu_flag (fl, op, a, b, cin) ->
-        let _, f =
-          Rtl.eval_abinop op (go a) (go b) ~carry_in:(Bitvec.lsb (go cin))
-        in
-        Bitvec.of_bool
-          (match fl with
-          | Rtl.C -> f.Bitvec.carry
-          | Rtl.V -> f.Bitvec.overflow
-          | Rtl.Z -> f.Bitvec.zero
-          | Rtl.N -> f.Bitvec.negative
-          | Rtl.U -> f.Bitvec.shifted_out)
-    | Mem_sel (m, a) ->
-        let addr = Bitvec.to_int (go a) in
-        mem_lookup m addr
-    | Mem_init | Mem_var _ | Mem_store _ ->
-        invalid_arg "Symexec.eval: memory term has no scalar value"
-  and mem_lookup m addr =
-    match m.node with
-    | Mem_store (m', a, v) ->
-        if Bitvec.to_int (go a) = addr then go v else mem_lookup m' addr
-    | Mem_init | Mem_var _ ->
-        Bitvec.resize ~width:m.width (Bitvec.of_int64 ~width:64 (env.e_mem addr))
-    | _ -> invalid_arg "Symexec.eval: ill-formed memory term"
-  in
-  go t0
+let iter_children f t =
+  match t.node with
+  | Var _ | Const _ | Mem_init | Mem_var _ -> ()
+  | Not a | Zext a | Slice (a, _, _) -> f a
+  | Add (a, b) | Sub (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
+  | Mul (a, b) | Concat (a, b) | Alu (_, a, b) | Mem_sel (a, b) ->
+      f a; f b
+  | Mux (a, b, c) | Alu_flag (_, _, a, b, c) | Mem_store (a, b, c) ->
+      f a; f b; f c
 
-(* Semantic comparison of two memory terms under [env]: equal at every
-   address either side writes (elsewhere both fall through to the same
-   initial memory, except across distinct havoc variables — those only
-   ever arise as the *same* variable on both sides). *)
-let mem_equal env m1 m2 =
-  let rec addrs acc m =
-    match m.node with
-    | Mem_store (m', a, _) -> addrs (Bitvec.to_int (eval env a) :: acc) m'
-    | _ -> acc
+(* Terms prepared for repeated evaluation: the variable nodes reachable
+   from the roots, and one value slot per term id, valid while its stamp
+   is the current generation.  Evaluation is on demand, so the untaken arm
+   of a [Mux] is never computed. *)
+type prepared = {
+  var_nodes : (t * string) list;
+  vals : Bitvec.t array;
+  stamp : int array;
+  mutable gen : int;
+}
+
+let prepare roots =
+  let seen = Hashtbl.create 64 and vars = ref [] and size = ref 0 in
+  let rec visit t =
+    if not (Hashtbl.mem seen t.id) then begin
+      Hashtbl.add seen t.id ();
+      (match t.node with
+      | Var n -> vars := (t, n) :: !vars
+      | _ -> iter_children visit t);
+      size := max !size (t.id + 1)
+    end
   in
-  let rec base m =
-    match m.node with Mem_store (m', _, _) -> base m' | _ -> m
-  in
-  let lookup m addr =
-    let rec go m =
-      match m.node with
-      | Mem_store (m', a, v) ->
-          if Bitvec.to_int (eval env a) = addr then eval env v else go m'
-      | _ -> Bitvec.resize ~width:m.width (Bitvec.of_int64 ~width:64 (env.e_mem addr))
+  List.iter visit roots;
+  { var_nodes = !vars; vals = Array.make !size (Bitvec.zero 1);
+    stamp = Array.make !size (-1); gen = 0 }
+
+(* The value of [t] in the current generation, reading each variable
+   node (and its name) through [var] and the initial memory from [mem]. *)
+let rec value f var mem t =
+  if f.stamp.(t.id) = f.gen then f.vals.(t.id)
+  else begin
+    let go = value f var mem in
+    let v =
+      match t.node with
+      | Var n -> Bitvec.resize ~width:t.width (var t n)
+      | Const v -> v
+      | Add (a, b) -> Bitvec.add (go a) (go b)
+      | Sub (a, b) -> Bitvec.sub (go a) (go b)
+      | And (a, b) -> Bitvec.logand (go a) (go b)
+      | Or (a, b) -> Bitvec.logor (go a) (go b)
+      | Xor (a, b) -> Bitvec.logxor (go a) (go b)
+      | Mul (a, b) -> Bitvec.mul (go a) (go b)
+      | Not a -> Bitvec.lognot (go a)
+      | Slice (a, hi, lo) -> Bitvec.extract ~hi ~lo (go a)
+      | Concat (a, b) -> Bitvec.concat (go a) (go b)
+      | Zext a -> Bitvec.resize ~width:t.width (go a)
+      | Mux (c, a, b) -> if Bitvec.is_zero (go c) then go b else go a
+      | Alu (op, a, b) ->
+          fst (Rtl.eval_abinop op (go a) (go b) ~carry_in:false)
+      | Alu_flag (fl, op, a, b, cin) ->
+          let _, f =
+            Rtl.eval_abinop op (go a) (go b) ~carry_in:(Bitvec.lsb (go cin))
+          in
+          Bitvec.of_bool
+            (match fl with
+            | Rtl.C -> f.Bitvec.carry
+            | Rtl.V -> f.Bitvec.overflow
+            | Rtl.Z -> f.Bitvec.zero
+            | Rtl.N -> f.Bitvec.negative
+            | Rtl.U -> f.Bitvec.shifted_out)
+      | Mem_sel (m, a) -> mem_at f var mem m (Bitvec.to_int (go a))
+      | Mem_init | Mem_var _ | Mem_store _ ->
+          invalid_arg "Symexec.eval: memory term has no scalar value"
     in
-    go m
-  in
-  (match ((base m1).node, (base m2).node) with
-  | Mem_init, Mem_init -> true
-  | Mem_var a, Mem_var b -> a = b
-  | _ -> false)
-  &&
-  let all =
-    List.sort_uniq compare (addrs (addrs [] m1) m2)
-  in
-  List.for_all (fun a -> Bitvec.equal (lookup m1 a) (lookup m2 a)) all
+    f.vals.(t.id) <- v;
+    f.stamp.(t.id) <- f.gen;
+    v
+  end
 
-let equal_under env a b =
-  if is_mem a || is_mem b then is_mem a && is_mem b && mem_equal env a b
-  else a.width = b.width && Bitvec.equal (eval env a) (eval env b)
+(* Memory [m] at word address [addr], through its store chain. *)
+and mem_at f var mem m addr =
+  match m.node with
+  | Mem_store (m', a, v) ->
+      if Bitvec.to_int (value f var mem a) = addr then value f var mem v
+      else mem_at f var mem m' addr
+  | _ -> Bitvec.resize ~width:m.width (Bitvec.of_int64 ~width:64 (mem addr))
+
+(* Equality of two terms in the current generation: memory terms compare
+   at every address either side writes (elsewhere both fall through to
+   the same initial memory, except across distinct havoc variables — those
+   only ever arise as the *same* variable on both sides). *)
+let equal_in f var mem a b =
+  if is_mem a || is_mem b then begin
+    let rec base m =
+      match m.node with Mem_store (m', _, _) -> base m' | _ -> m
+    in
+    let rec addrs acc m =
+      match m.node with
+      | Mem_store (m', a, _) ->
+          addrs (Bitvec.to_int (value f var mem a) :: acc) m'
+      | _ -> acc
+    in
+    is_mem a && is_mem b
+    && (match ((base a).node, (base b).node) with
+       | Mem_init, Mem_init -> true
+       | Mem_var x, Mem_var y -> x = y
+       | _ -> false)
+    && List.for_all
+         (fun addr ->
+           Bitvec.equal (mem_at f var mem a addr) (mem_at f var mem b addr))
+         (List.sort_uniq compare (addrs (addrs [] a) b))
+  end
+  else a.width = b.width && Bitvec.equal (value f var mem a) (value f var mem b)
+
+let eval env t = value (prepare [ t ]) (fun _ n -> env.e_var n) env.e_mem t
 
 (* -- the decision layer ---------------------------------------------------- *)
 
@@ -423,29 +454,8 @@ type assignment = (string * Bitvec.t) list
 
 type verdict = Proved | Refuted of assignment | Unknown
 
-let term_vars t0 =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
-      match t.node with
-      | Var n -> acc := (n, t.width) :: !acc
-      | Const _ | Mem_init | Mem_var _ -> ()
-      | Not a | Zext a -> go a
-      | Slice (a, _, _) -> go a
-      | Add (a, b) | Sub (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
-      | Mul (a, b) | Concat (a, b) | Alu (_, a, b) | Mem_sel (a, b) ->
-          go a; go b
-      | Mux (a, b, c) | Alu_flag (_, _, a, b, c) | Mem_store (a, b, c) ->
-          go a; go b; go c
-    end
-  in
-  go t0;
-  !acc
-
 (* xorshift64*, plus a splitmix-style hash for sampled initial memory;
-   both deterministic in the seed so refutations replay. *)
+   both deterministic so refutations replay. *)
 let rng_next st =
   let x = !st in
   let x = Int64.logxor x (Int64.shift_left x 13) in
@@ -454,88 +464,105 @@ let rng_next st =
   st := x;
   x
 
-let hash_mem ~seed ~sample addr =
+let hash_mem ~sample addr =
   let z =
     Int64.add
-      (Int64.mul (Int64.of_int ((seed * 1009) + (sample * 31) + addr))
-         0x9E3779B97F4A7C15L)
+      (Int64.mul (Int64.of_int ((sample * 31) + addr)) 0x9E3779B97F4A7C15L)
       0xBF58476D1CE4E5B9L
   in
   let z = Int64.logxor z (Int64.shift_right_logical z 30) in
   Int64.mul z 0x94D049BB133111EBL
 
-let env_of assignment ~mem =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace tbl n v) assignment;
-  {
-    e_var =
-      (fun n ->
-        match Hashtbl.find_opt tbl n with
-        | Some v -> v
-        | None -> Bitvec.zero 1);
-    e_mem = mem;
-  }
+(* The extreme values of a [w]-bit input — where wraparound, sign and
+   carry behaviour change — which random samples almost never hit. *)
+let corner_values w =
+  let bv = Bitvec.of_int64 ~width:w in
+  List.sort_uniq compare
+    [ Bitvec.zero w; Bitvec.ones w; bv 1L; bv 2L; Bitvec.pred (Bitvec.ones w);
+      Bitvec.shift_left (bv 1L) (w - 1) ]
 
-let decide ?(budget_bits = 16) ?(samples = 64) ?(seed = 0) pairs =
+let samples = 64
+let max_corners = 4096
+
+let decide ?(budget_bits = 16) pairs =
   let pairs = List.filter (fun (a, b) -> a.id <> b.id) pairs in
   if pairs = [] then Proved
   else begin
+    let f = prepare (List.concat_map (fun (a, b) -> [ a; b ]) pairs) in
     let vars =
-      List.sort_uniq compare
-        (List.concat_map (fun (a, b) -> term_vars a @ term_vars b) pairs)
+      List.map (fun (t, n) -> (n, t.width)) f.var_nodes
+      |> List.sort_uniq compare |> Array.of_list
     in
+    (* each variable node's index into [vars]; a name bound at two widths
+       reads its last (widest) entry *)
+    let slot = Array.make (Array.length f.vals) 0 in
+    Array.iteri
+      (fun i (n, _) ->
+        List.iter (fun (t, m) -> if m = n then slot.(t.id) <- i) f.var_nodes)
+      vars;
+    (* a candidate store: one value per variable, and the initial memory;
+       the pairs are compared in order and the first difference stops *)
+    let agree (values, mem) =
+      f.gen <- f.gen + 1;
+      List.for_all
+        (fun (a, b) -> equal_in f (fun t _ -> values.(slot.(t.id))) mem a b)
+        pairs
+    in
+    let counterexample stores =
+      Seq.find (fun s -> not (agree s)) stores
+      |> Option.map (fun (values, _) ->
+             Array.to_list (Array.mapi (fun i (n, _) -> (n, values.(i))) vars))
+    in
+    let zero_mem _ = 0L in
     let any_mem = List.exists (fun (a, b) -> a.has_mem || b.has_mem) pairs in
-    let total_bits = List.fold_left (fun n (_, w) -> n + w) 0 vars in
-    let check env = List.for_all (fun (a, b) -> equal_under env a b) pairs in
+    let total_bits = Array.fold_left (fun n (_, w) -> n + w) 0 vars in
     if (not any_mem) && total_bits <= budget_bits then begin
-      (* exhaustive: a genuine proof over every live input bit *)
-      let n = 1 lsl total_bits in
-      let rec loop i =
-        if i >= n then Proved
-        else begin
-          let assignment =
-            let bit = ref 0 in
-            List.map
-              (fun (name, w) ->
-                let v = (i lsr !bit) land ((1 lsl w) - 1) in
-                bit := !bit + w;
-                (name, Bitvec.of_int ~width:w v))
-              vars
-          in
-          let env = env_of assignment ~mem:(fun _ -> 0L) in
-          if check env then loop (i + 1) else Refuted assignment
-        end
+      (* exhaustive: a genuine proof over every live input bit, store [i]
+         packing the variables' values at consecutive bit offsets *)
+      let store i =
+        let bit = ref 0 in
+        ( Array.map
+            (fun (_, w) ->
+              let v = (i lsr !bit) land ((1 lsl w) - 1) in
+              bit := !bit + w;
+              Bitvec.of_int ~width:w v)
+            vars,
+          zero_mem )
       in
-      loop 0
+      match counterexample (Seq.init (1 lsl total_bits) store) with
+      | None -> Proved
+      | Some cx -> Refuted cx
     end
     else begin
-      (* sampling: sound for refutation only.  Sample 0 is the all-zeros
-         store and even samples keep memory zeroed, so most
-         counterexamples replay directly on a freshly reset simulator. *)
-      let st = ref (Int64.of_int ((seed * 2654435761) + 1)) in
-      let rec loop k =
-        if k >= samples then Unknown
-        else begin
-          let assignment =
-            List.map
-              (fun (name, w) ->
-                let v =
-                  if k = 0 then Bitvec.zero w
-                  else if k = 1 then Bitvec.ones w
-                  else Bitvec.of_int64 ~width:w (rng_next st)
-                in
-                (name, v))
-              vars
-          in
-          let mem =
-            if k land 1 = 0 then fun _ -> 0L
-            else hash_mem ~seed ~sample:k
-          in
-          let env = env_of assignment ~mem in
-          if check env then loop (k + 1) else Refuted assignment
-        end
+      (* sound for refutation only.  Seeded samples first: sample 0 is the
+         all-zeros store and even samples keep memory zeroed, so most
+         counterexamples replay directly on a freshly reset simulator.
+         Then combinations of corner values over zeroed memory, the last
+         variable varying fastest. *)
+      let st = ref 1L in
+      let sample k =
+        ( Array.map
+            (fun (_, w) ->
+              if k = 0 then Bitvec.zero w
+              else if k = 1 then Bitvec.ones w
+              else Bitvec.of_int64 ~width:w (rng_next st))
+            vars,
+          if k land 1 = 0 then zero_mem else hash_mem ~sample:k )
       in
-      loop 0
+      let rec combos i =
+        if i = Array.length vars then Seq.return []
+        else
+          Seq.flat_map
+            (fun v -> Seq.map (fun rest -> v :: rest) (combos (i + 1)))
+            (List.to_seq (corner_values (snd vars.(i))))
+      in
+      let corners =
+        Seq.take max_corners
+          (Seq.map (fun vs -> (Array.of_list vs, zero_mem)) (combos 0))
+      in
+      match counterexample (Seq.append (Seq.init samples sample) corners) with
+      | None -> Unknown
+      | Some cx -> Refuted cx
     end
   end
 

@@ -5,8 +5,10 @@
     evaluates, normalizing smart constructors, the {!Phase} model
     instantiated over terms as the symbolic word executor, and a layered
     decision procedure (term identity, then exhaustive concrete evaluation
-    over the live input bits under a budget, then seeded sampling that can
-    refute but never prove). *)
+    over the live input bits under a budget, then seeded and corner-value
+    stores that can refute but never prove) — the one decision procedure
+    of both the translation validator and the S* verifier
+    ({!Msl_sstar.Verify}). *)
 
 open Msl_bitvec
 
@@ -46,15 +48,27 @@ val create_ctx : unit -> ctx
 (** {1 Term builders (normalizing)} *)
 
 val var : ctx -> string -> int -> t
+val const : ctx -> Bitvec.t -> t
 val const_int : ctx -> width:int -> int -> t
 val true_ : ctx -> t
 val add : ctx -> t -> t -> t
 val sub : ctx -> t -> t -> t
+val mul : ctx -> t -> t -> t
 val logand : ctx -> t -> t -> t
+val logor : ctx -> t -> t -> t
+val logxor : ctx -> t -> t -> t
 val lognot : ctx -> t -> t
+val mux : ctx -> t -> t -> t -> t
+(** [mux c a b]: [a] where [c] is nonzero, else [b]. *)
+
 val slice : ctx -> t -> hi:int -> lo:int -> t
 val zext : ctx -> int -> t -> t
 (** Resize: zero-extends when growing, slices when shrinking. *)
+
+val alu_flag : ctx -> Rtl.flag -> Rtl.abinop -> t -> t -> carry:t -> t
+(** One condition flag of the ALU operation [op a b], as a 1-bit term
+    mirroring {!Rtl.eval_abinop}; [carry] is the carry-in, read only by
+    adc.  Z and C of a subtraction are equality and unsigned less-than. *)
 
 (** {1 Concrete evaluation} *)
 
@@ -66,26 +80,24 @@ type env = { e_var : string -> Bitvec.t; e_mem : int -> int64 }
 val eval : env -> t -> Bitvec.t
 (** Evaluate a scalar term.  @raise Invalid_argument on a memory term. *)
 
-val equal_under : env -> t -> t -> bool
-(** Semantic equality under [env]; memory terms compare at every written
-    address. *)
-
 (** {1 Decision layer} *)
 
 type assignment = (string * Bitvec.t) list
 
 type verdict = Proved | Refuted of assignment | Unknown
 
-val decide :
-  ?budget_bits:int -> ?samples:int -> ?seed:int -> (t * t) list -> verdict
-(** Decide whether every pair is semantically equal.  Identical terms are
-    equal by construction.  If no term mentions memory and the live input
-    bits fit in [budget_bits] (default 16), exhaustive enumeration yields a
-    sound [Proved] or [Refuted].  Otherwise up to [samples] (default 64)
-    seeded stores are tried: a mismatch is a sound [Refuted] with the
-    concrete assignment (sample 0 is the all-zeros store with zero memory,
-    so most counterexamples replay on a freshly reset simulator); agreement
-    on every sample is only [Unknown]. *)
+val decide : ?budget_bits:int -> (t * t) list -> verdict
+(** Decide whether every pair is semantically equal — the one decision
+    procedure behind both {!Msl_mir.Tv} and the S* verifier.  Identical
+    terms are equal by construction.  If no term mentions memory and the
+    live input bits fit in [budget_bits] (default 16), exhaustive
+    enumeration yields a sound [Proved] or [Refuted].  Otherwise 64 seeded
+    stores are tried (sample 0 is the all-zeros store with zero memory, so
+    most counterexamples replay on a freshly reset simulator), then up to
+    4096 combinations of each variable's corner values (0, 1, 2, all-ones,
+    all-ones minus one, the sign bit).  A mismatch is a sound [Refuted]
+    with the concrete assignment; agreement on every store is only
+    [Unknown]. *)
 
 (** {1 Symbolic stores and the word executor} *)
 

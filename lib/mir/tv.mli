@@ -7,9 +7,9 @@
     from a common store of fresh inputs, and the stores are compared at
     every control exit.  Honest compiles prove by pointer equality of the
     hash-consed terms; rewrites that changed term shape go through the
-    layered decision procedure, which refutes with a concrete
-    counterexample store or gives up within budget (and can then fall
-    back to the differential oracle for just that block). *)
+    layered decision procedure ({!Msl_machine.Symexec.decide}), which
+    proves, refutes with a concrete counterexample store, or gives up
+    within budget.  Only a proof validates: [Unknown] fails every gate. *)
 
 open Msl_machine
 
@@ -23,42 +23,31 @@ type artifact = {
   a_mis : (Inst.op list * Select.lnext) list;
 }
 
-type config = {
-  tv_budget_bits : int;
-      (** exhaustive-enumeration budget, in live input bits (default 16) *)
-  tv_samples : int;  (** sampled stores before giving up (default 64) *)
-  tv_seed : int;
-  tv_dynamic : bool;
-      (** fall back to seeded concrete runs through {!Sim} on UNKNOWN *)
-}
-
-val default_config : config
-
 type verdict =
   | Validated  (** proved equal on every exit *)
-  | Validated_dynamic
-      (** only the dynamic fallback agreed — evidence, not a proof *)
   | Refuted of Symexec.assignment option
       (** provably different; [None] means a structural mismatch (exit
           kinds, word counts, ack counts) with no store to blame *)
-  | Unknown  (** decision budget exhausted *)
+  | Unknown  (** decision budget exhausted: not a proof *)
 
 type result = {
   v_total : int;
-  v_validated : int;  (** includes dynamic *)
+  v_validated : int;
   v_dynamic : int;
+      (** always 0: only a proof counts as validated.  The benchmark
+          harness ([perfbench/layers.ml]) still reads this field, so it
+          stays until that harness is rebuilt on library spans (the
+          ROADMAP's library-spans item). *)
   v_refuted : int;
   v_unknown : int;
   v_findings : Diag.finding list;
-      (** one [tv-refuted] error or [tv-unknown] warning per bad block *)
-  v_counterexample : (Symexec.assignment * Diag.location) option;
-      (** the first concrete counterexample, for replay *)
+      (** one [tv-refuted] error or [tv-unknown] warning per bad block;
+          a refutation's message carries its counterexample store *)
 }
 
-val validate_artifacts : ?config:config -> Desc.t -> artifact list -> result
+val validate_artifacts : Desc.t -> artifact list -> result
 
 val validate_words :
-  ?config:config ->
   Desc.t ->
   reference:(Inst.op list * Select.lnext) list ->
   candidate:(Inst.op list * Select.lnext) list ->
@@ -66,7 +55,6 @@ val validate_words :
 (** The core comparison, on explicit word lists. *)
 
 val validate_rewrite :
-  ?config:config ->
   Desc.t ->
   fall_ref:string option ->
   fall_cand:string option ->
@@ -81,11 +69,10 @@ val validate_rewrite :
     [validate_words] rejects structurally: goto-fold into a predecessor
     word, branch inversion that swaps the taken and fall-through paths.
     Windows containing calls, dispatches or interrupt-pending tests are
-    [Unknown].  There is no dynamic fallback — only [Validated] is a
-    proof, and the superoptimizer accepts nothing less. *)
+    [Unknown].  Only [Validated] is a proof, and the superoptimizer
+    accepts nothing less. *)
 
 val validate_program :
-  ?config:config ->
   ?labels:(string * int) list ->
   Desc.t ->
   reference:Inst.t list ->
@@ -95,18 +82,5 @@ val validate_program :
     length (e.g. a program against a mutated copy): regions are the runs
     between control-flow leaders over both programs, each validated from
     its own fresh store.  [labels] adds block provenance to findings. *)
-
-val apply_assignment : Desc.t -> Sim.t -> Symexec.assignment -> unit
-(** Replay helper: write a counterexample store into a simulator
-    ([r:NAME] registers, [f:X] flags; unknown names are skipped). *)
-
-val arch_digest : Desc.t -> Sim.t -> string
-(** The architectural state only — registers, flags, nonzero memory —
-    excluding the pc/cycle/traffic counters of {!Sim.state_digest}, which
-    legitimately differ between a compacted program and its reference. *)
-
-val seeded_assignments : Desc.t -> seed:int -> n:int -> Symexec.assignment list
-(** [n] deterministic input stores over the symbolic variable names
-    (store 0 all-zeros, store 1 all-ones, the rest seeded random). *)
 
 val pp_summary : Format.formatter -> result -> unit

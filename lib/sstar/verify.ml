@@ -7,16 +7,18 @@
 
    This verifier:
    - computes weakest preconditions backward through straight-line code,
-     if/elif/else, cobegin (simultaneous substitution), cocycle and dur
+     if/elif/else, cobegin (simultaneous assignment), cocycle and dur
      (sequential semantics), begin/region groups;
    - requires an [inv { ... }] annotation on every loop and emits the
      classical invariant VCs;
    - treats [assert { A }] as a cut point;
-   - discharges each VC over *machine arithmetic* (fixed-width, wrapping
-     bitvectors — exactly the "allowance for the possibility of overflow"
-     the survey describes for instantiated semantics): exhaustively when
-     the free variables span at most [exhaustive_bits] bits, by corner +
-     random sampling otherwise.
+   - builds each VC as a 1-bit {!Symexec} term over *machine arithmetic*
+     (fixed-width, wrapping bitvectors — exactly the "allowance for the
+     possibility of overflow" the survey describes for instantiated
+     semantics) and discharges it with [Symexec.decide], the decision
+     procedure the translation validator uses: a proof by exhaustive
+     enumeration when the live variables span at most [budget_bits] bits,
+     otherwise a refutation or an honest Unknown.
 
    Limitations (reported, never silently ignored): flag tests, stacks,
    procedure calls and run-time-indexed arrays are outside the assertion
@@ -27,202 +29,236 @@ open Msl_machine
 module Diag = Msl_util.Diag
 module Loc = Msl_util.Loc
 
-(* Canonical program variables are storage locations, so that syn aliases
-   of the same register compare equal. *)
-type svar = Compile.storage * int  (* storage, width *)
-
-type sym =
-  | Svar of svar
-  | Sconst of Bitvec.t
-  | Sadd of sym * sym
-  | Ssub of sym * sym
-  | Smul of sym * sym
-  | Sand of sym * sym
-  | Sor of sym * sym
-  | Sxor of sym * sym
-  | Sshl of sym * int
-  | Sshr of sym * int
-  | Srol of sym * int
-  | Sror of sym * int
-  | Snot of sym
-  | Strunc of int * sym  (* wrap to the destination's declared width *)
-
-type vf =
-  | Vtrue
-  | Vfalse
-  | Vrel of Ast.frel * sym * sym
-  | Vand of vf * vf
-  | Vor of vf * vf
-  | Vnot of vf
-  | Vimp of vf * vf
-
 exception Unsupported of string
 
 let unsupported fmt = Format.kasprintf (fun m -> raise (Unsupported m)) fmt
 
-(* -- translation from the AST ------------------------------------------------ *)
+(* -- terms over a store --------------------------------------------------- *)
 
-let svar_of env loc r : svar =
-  match Compile.resolve env loc r with
-  | (Compile.Smem_dyn _ as st), _ ->
-      ignore st;
+(* The store maps each storage location assigned so far to its value.
+   Program variables are storage locations, so syn aliases of one
+   register meet in one variable; a location never assigned reads as its
+   initial value, a free variable named as [Symexec] names a region's
+   inputs, so a register counterexample replays on the simulator. *)
+module Store = Map.Make (struct
+  type t = Compile.storage
+
+  let compare = compare
+end)
+
+(* An expression or a formula (a 1-bit term) as a function of the store
+   it is read in: the weakest precondition of an assignment is the
+   postcondition read in the updated store, so there is no substitution
+   pass. *)
+type term = Symexec.t Store.t -> Symexec.t
+
+type wpctx = {
+  env : Compile.env;
+  tm : Symexec.ctx;
+  mutable vcs : (string * term) list;
+  mutable count : int;
+}
+
+let emit_vc c name f =
+  c.count <- c.count + 1;
+  c.vcs <- (Printf.sprintf "%s#%d" name c.count, f) :: c.vcs
+
+let var_name (d : Desc.t) = function
+  | Compile.Sreg r -> Symexec.reg_var_name d.Desc.d_regs.(r).Desc.r_name
+  | Compile.Sregfield (r, hi, lo) ->
+      Printf.sprintf "%s[%d:%d]"
+        (Symexec.reg_var_name d.Desc.d_regs.(r).Desc.r_name)
+        hi lo
+  | Compile.Smem a -> Printf.sprintf "m:%d" a
+  | Compile.Smem_dyn _ ->
       unsupported "run-time-indexed array element in an assertion"
-  | st, w -> (st, w)
 
-(* Constants fold to their values; other refs become variables. *)
-let sym_of_ref env loc r =
-  match Compile.const_value env r with
-  | Some v -> Sconst v
-  | None -> Svar (svar_of env loc r)
+(* A program variable: its storage location, its declared width, and its
+   value in a store. *)
+let location c loc r =
+  let st, w = Compile.resolve c.env loc r in
+  let name = var_name c.env.Compile.d st in
+  ( st,
+    w,
+    fun s ->
+      match Store.find_opt st s with
+      | Some t -> t
+      | None -> Symexec.var c.tm name w )
 
-let rec sym_of_fexpr env loc (e : Ast.fexpr) : sym =
+let value c loc r =
+  let _, _, v = location c loc r in
+  v
+
+let constant c v : term =
+  let t = Symexec.const c.tm v in
+  fun _ -> t
+
+let const64 c v = constant c (Bitvec.of_int64 ~width:64 v)
+
+(* Constants fold to their values; other refs read the store. *)
+let read c loc r : term =
+  match Compile.const_value c.env r with
+  | Some v -> constant c v
+  | None -> value c loc r
+
+(* The left operand's width wins; the right operand (often a 64-bit
+   literal) is resized to it. *)
+let binop c f (a : term) (b : term) : term =
+ fun s ->
+  let a = a s in
+  f c.tm a (Symexec.zext c.tm a.Symexec.width (b s))
+
+let arith c ~adc (op : Ast.sbinop) a b =
+  match op with
+  | Ast.Sadd -> binop c Symexec.add a b
+  | Ast.Ssub -> binop c Symexec.sub a b
+  | Ast.Smul -> binop c Symexec.mul a b
+  | Ast.Sand -> binop c Symexec.logand a b
+  | Ast.Sor -> binop c Symexec.logor a b
+  | Ast.Sxor -> binop c Symexec.logxor a b
+  | Ast.Sadc -> unsupported "%s" adc
+
+(* Shifts and rotates by a constant, exact at the operand's width as
+   [Bitvec.shift_left]/[shift_right]/[rotate_left] compute them: a shift
+   by the width or more clears the word. *)
+let shift tm ~left (a : Symexec.t) n =
+  let w = a.Symexec.width in
+  if n <= 0 then a
+  else if n >= w then Symexec.const tm (Bitvec.zero w)
+  else if left then
+    Symexec.mul tm a
+      (Symexec.const tm (Bitvec.shift_left (Bitvec.of_int ~width:w 1) n))
+  else Symexec.zext tm w (Symexec.slice tm a ~hi:(w - 1) ~lo:n)
+
+let rol tm (a : Symexec.t) n =
+  let w = a.Symexec.width in
+  let n = ((n mod w) + w) mod w in
+  if n = 0 then a
+  else
+    Symexec.logor tm (shift tm ~left:true a n) (shift tm ~left:false a (w - n))
+
+let unary c f (a : term) : term = fun s -> f c.tm (a s)
+let shifted c ~left n (a : term) : term = fun s -> shift c.tm ~left (a s) n
+
+let rec fexpr c loc (e : Ast.fexpr) : term =
   match e with
-  | Ast.Fref r -> sym_of_ref env loc r
-  | Ast.Fnum v -> Sconst (Bitvec.of_int64 ~width:64 v)
+  | Ast.Fref r -> read c loc r
+  | Ast.Fnum v -> const64 c v
   | Ast.Fbin (op, a, b) ->
-      let sa = sym_of_fexpr env loc a and sb = sym_of_fexpr env loc b in
-      (match op with
-      | Ast.Sadd -> Sadd (sa, sb)
-      | Ast.Ssub -> Ssub (sa, sb)
-      | Ast.Smul -> Smul (sa, sb)
-      | Ast.Sand -> Sand (sa, sb)
-      | Ast.Sor -> Sor (sa, sb)
-      | Ast.Sxor -> Sxor (sa, sb)
-      | Ast.Sadc -> unsupported "carry arithmetic in assertions")
-  | Ast.Fmul (a, b) -> Smul (sym_of_fexpr env loc a, sym_of_fexpr env loc b)
-  | Ast.Fshl (a, n) -> Sshl (sym_of_fexpr env loc a, n)
-  | Ast.Fshr (a, n) -> Sshr (sym_of_fexpr env loc a, n)
-  | Ast.Fnotb a -> Snot (sym_of_fexpr env loc a)
+      arith c ~adc:"carry arithmetic in assertions" op (fexpr c loc a)
+        (fexpr c loc b)
+  | Ast.Fmul (a, b) -> binop c Symexec.mul (fexpr c loc a) (fexpr c loc b)
+  | Ast.Fshl (a, n) -> shifted c ~left:true n (fexpr c loc a)
+  | Ast.Fshr (a, n) -> shifted c ~left:false n (fexpr c loc a)
+  | Ast.Fnotb a -> unary c Symexec.lognot (fexpr c loc a)
 
-let rec vf_of_formula env loc (f : Ast.formula) : vf =
-  match f with
-  | Ast.Ftrue -> Vtrue
-  | Ast.Ffalse -> Vfalse
-  | Ast.Frel (r, a, b) -> Vrel (r, sym_of_fexpr env loc a, sym_of_fexpr env loc b)
-  | Ast.Fand (a, b) -> Vand (vf_of_formula env loc a, vf_of_formula env loc b)
-  | Ast.For (a, b) -> Vor (vf_of_formula env loc a, vf_of_formula env loc b)
-  | Ast.Fnot a -> Vnot (vf_of_formula env loc a)
-  | Ast.Fimp (a, b) -> Vimp (vf_of_formula env loc a, vf_of_formula env loc b)
+let operand c loc (o : Ast.operand) =
+  match o with Ast.Onum v -> const64 c v | Ast.Oref r -> read c loc r
 
-let sym_of_operand env loc (o : Ast.operand) =
-  match o with
-  | Ast.Onum v -> Sconst (Bitvec.of_int64 ~width:64 v)
-  | Ast.Oref r -> sym_of_ref env loc r
-
-let sym_of_expr env loc (e : Ast.expr) : sym =
+let expr c loc (e : Ast.expr) : term =
   match e with
-  | Ast.Eop o -> sym_of_operand env loc o
+  | Ast.Eop o -> operand c loc o
   | Ast.Ebin (op, a, b) ->
-      let sa = sym_of_operand env loc a and sb = sym_of_operand env loc b in
-      (match op with
-      | Ast.Sadd -> Sadd (sa, sb)
-      | Ast.Ssub -> Ssub (sa, sb)
-      | Ast.Smul -> Smul (sa, sb)
-      | Ast.Sand -> Sand (sa, sb)
-      | Ast.Sor -> Sor (sa, sb)
-      | Ast.Sxor -> Sxor (sa, sb)
-      | Ast.Sadc -> unsupported "adc in verified code")
-  | Ast.Enot a -> Snot (sym_of_operand env loc a)
-  | Ast.Eshift (a, n) ->
-      if n >= 0 then Sshl (sym_of_operand env loc a, n)
-      else Sshr (sym_of_operand env loc a, -n)
-  | Ast.Erotate (a, n) ->
-      if n >= 0 then Srol (sym_of_operand env loc a, n)
-      else Sror (sym_of_operand env loc a, -n)
+      arith c ~adc:"adc in verified code" op (operand c loc a)
+        (operand c loc b)
+  | Ast.Enot a -> unary c Symexec.lognot (operand c loc a)
+  | Ast.Eshift (a, n) -> shifted c ~left:(n >= 0) (abs n) (operand c loc a)
+  | Ast.Erotate (a, n) -> unary c (fun tm a -> rol tm a n) (operand c loc a)
 
-let vf_of_test env loc (t : Ast.test) =
+(* -- formulas: 1-bit terms ------------------------------------------------- *)
+
+let true_ c = constant c (Bitvec.of_bool true)
+
+(* The connectives are multiplexers, so evaluation short-circuits: a
+   false antecedent never evaluates its consequent. *)
+let not_ c (a : term) : term = unary c Symexec.lognot a
+let false_ c = not_ c (true_ c)
+let if_ c (a : term) b e : term = fun s -> Symexec.mux c.tm (a s) (b s) (e s)
+let and_ c a b = if_ c a b (false_ c)
+let or_ c a b = if_ c a (true_ c) b
+let imp c a b = if_ c a b (true_ c)
+
+(* Unsigned comparisons are the flags of a subtraction: Z is equality,
+   C the borrow, i.e. less-than. *)
+let rel c (r : Ast.frel) (a : term) (b : term) : term =
+ fun s ->
+  let tm = c.tm in
+  let a = a s in
+  let b = Symexec.zext tm a.Symexec.width (b s) in
+  let no_carry = Symexec.const_int tm ~width:1 0 in
+  let flag fl = Symexec.alu_flag tm fl Rtl.A_sub a b ~carry:no_carry in
+  let le () = Symexec.logor tm (flag Rtl.C) (flag Rtl.Z) in
+  match r with
+  | Ast.FReq -> flag Rtl.Z
+  | Ast.FRne -> Symexec.lognot tm (flag Rtl.Z)
+  | Ast.FRlt -> flag Rtl.C
+  | Ast.FRge -> Symexec.lognot tm (flag Rtl.C)
+  | Ast.FRle -> le ()
+  | Ast.FRgt -> Symexec.lognot tm (le ())
+
+let rec formula c loc (f : Ast.formula) : term =
+  match f with
+  | Ast.Ftrue -> true_ c
+  | Ast.Ffalse -> false_ c
+  | Ast.Frel (r, a, b) -> rel c r (fexpr c loc a) (fexpr c loc b)
+  | Ast.Fand (a, b) -> and_ c (formula c loc a) (formula c loc b)
+  | Ast.For (a, b) -> or_ c (formula c loc a) (formula c loc b)
+  | Ast.Fnot a -> not_ c (formula c loc a)
+  | Ast.Fimp (a, b) -> imp c (formula c loc a) (formula c loc b)
+
+let test c loc (t : Ast.test) =
   match t with
-  | Ast.Tzero r ->
-      Vrel (Ast.FReq, Svar (svar_of env loc r), Sconst (Bitvec.zero 64))
-  | Ast.Tnonzero r ->
-      Vrel (Ast.FRne, Svar (svar_of env loc r), Sconst (Bitvec.zero 64))
+  | Ast.Tzero r -> rel c Ast.FReq (value c loc r) (const64 c 0L)
+  | Ast.Tnonzero r -> rel c Ast.FRne (value c loc r) (const64 c 0L)
   | Ast.Tflag (f, _) ->
       unsupported "flag test %s (the verifier models registers, not flags)" f
 
-(* -- substitution -------------------------------------------------------------- *)
-
-let rec subst_sym (s : (svar * sym) list) (e : sym) : sym =
-  match e with
-  | Svar v -> (
-      match List.find_opt (fun (v', _) -> fst v' = fst v) s with
-      | Some (_, repl) -> repl
-      | None -> e)
-  | Sconst _ -> e
-  | Sadd (a, b) -> Sadd (subst_sym s a, subst_sym s b)
-  | Ssub (a, b) -> Ssub (subst_sym s a, subst_sym s b)
-  | Smul (a, b) -> Smul (subst_sym s a, subst_sym s b)
-  | Sand (a, b) -> Sand (subst_sym s a, subst_sym s b)
-  | Sor (a, b) -> Sor (subst_sym s a, subst_sym s b)
-  | Sxor (a, b) -> Sxor (subst_sym s a, subst_sym s b)
-  | Sshl (a, n) -> Sshl (subst_sym s a, n)
-  | Sshr (a, n) -> Sshr (subst_sym s a, n)
-  | Srol (a, n) -> Srol (subst_sym s a, n)
-  | Sror (a, n) -> Sror (subst_sym s a, n)
-  | Snot a -> Snot (subst_sym s a)
-  | Strunc (w, a) -> Strunc (w, subst_sym s a)
-
-let rec subst_vf s (f : vf) : vf =
-  match f with
-  | Vtrue | Vfalse -> f
-  | Vrel (r, a, b) -> Vrel (r, subst_sym s a, subst_sym s b)
-  | Vand (a, b) -> Vand (subst_vf s a, subst_vf s b)
-  | Vor (a, b) -> Vor (subst_vf s a, subst_vf s b)
-  | Vnot a -> Vnot (subst_vf s a)
-  | Vimp (a, b) -> Vimp (subst_vf s a, subst_vf s b)
-
 (* -- weakest preconditions --------------------------------------------------------- *)
 
-type vc = { vc_name : string; vc_f : vf }
+(* One assignment as a (location, value) binding; the value wraps to the
+   destination's declared width, which is where the instantiated overflow
+   semantics (the survey's modified INC rule) comes from. *)
+let binding c loc r e =
+  let st, w, _ = location c loc r in
+  let v = expr c loc e in
+  (st, fun s -> Symexec.zext c.tm w (v s))
 
-type wpctx = { env : Compile.env; mutable vcs : vc list; mutable count : int }
+(* Simultaneous assignment: every value is read in the old store; on a
+   repeated destination the first binding wins. *)
+let assign bindings (q : term) : term =
+ fun s ->
+  q (List.fold_right (fun (st, v) s' -> Store.add st (v s) s') bindings s)
 
-let emit_vc ctx name f =
-  ctx.count <- ctx.count + 1;
-  ctx.vcs <- { vc_name = Printf.sprintf "%s#%d" name ctx.count; vc_f = f } :: ctx.vcs
-
-(* One assignment as a (variable, symbolic value) binding; the value wraps
-   to the destination's declared width, which is where the instantiated
-   overflow semantics (the survey's modified INC rule) comes from. *)
-let binding_of_assign ctx loc r e : svar * sym =
-  let v = svar_of ctx.env loc r in
-  (v, Strunc (snd v, sym_of_expr ctx.env loc e))
-
-let rec wp ctx (s : Ast.stmt) (q : vf) : vf =
+let rec wp c (s : Ast.stmt) (q : term) : term =
   match s with
-  | Ast.Sassign (r, e, loc) ->
-      let b = binding_of_assign ctx loc r e in
-      subst_vf [ b ] q
-  | Ast.Scobegin (arms, loc) ->
-      (* simultaneous assignment: one parallel substitution *)
-      let bindings =
-        List.map
-          (fun arm ->
-            match arm with
-            | Ast.Sassign (r, e, l2) -> binding_of_assign ctx l2 r e
-            | _ -> unsupported "non-assignment inside cobegin")
-          arms
-      in
-      ignore loc;
-      subst_vf bindings q
-  | Ast.Scocycle (arms, _) -> wp_seq ctx arms q
-  | Ast.Sdur (s0, seq, _) -> wp ctx s0 (wp_seq ctx seq q)
-  | Ast.Sseq stmts | Ast.Sregion (stmts, _) -> wp_seq ctx stmts q
+  | Ast.Sassign (r, e, loc) -> assign [ binding c loc r e ] q
+  | Ast.Scobegin (arms, _) ->
+      assign
+        (List.map
+           (function
+             | Ast.Sassign (r, e, l2) -> binding c l2 r e
+             | _ -> unsupported "non-assignment inside cobegin")
+           arms)
+        q
+  | Ast.Scocycle (arms, _) -> wp_seq c arms q
+  | Ast.Sdur (s0, seq, _) -> wp c s0 (wp_seq c seq q)
+  | Ast.Sseq stmts | Ast.Sregion (stmts, _) -> wp_seq c stmts q
   | Ast.Sif (arms, else_, loc) ->
       (* (t1 -> wp S1 Q) and (!t1 and t2 -> wp S2 Q) and ... *)
+      let guard first negs =
+        List.fold_left (fun acc n -> and_ c acc (not_ c n)) first negs
+      in
       let rec build negs = function
         | [] ->
             (* the else path, guarded by the negation of every test *)
             let body_wp =
-              match else_ with Some stmts -> wp_seq ctx stmts q | None -> q
+              match else_ with Some stmts -> wp_seq c stmts q | None -> q
             in
-            let hyp = List.fold_left (fun acc n -> Vand (acc, Vnot n)) Vtrue negs in
-            Vimp (hyp, body_wp)
+            imp c (guard (true_ c) negs) body_wp
         | (t, body) :: rest ->
-            let tv = vf_of_test ctx.env loc t in
-            let hyp =
-              List.fold_left (fun acc n -> Vand (acc, Vnot n)) tv negs
-            in
-            Vand (Vimp (hyp, wp_seq ctx body q), build (tv :: negs) rest)
+            let tv = test c loc t in
+            let rest_wp = build (tv :: negs) rest in
+            and_ c (imp c (guard tv negs) (wp_seq c body q)) rest_wp
       in
       build [] arms
   | Ast.Swhile (t, inv, body, loc) -> (
@@ -230,237 +266,89 @@ let rec wp ctx (s : Ast.stmt) (q : vf) : vf =
       | None ->
           unsupported "while loop without an invariant annotation (inv {...})"
       | Some i ->
-          let iv = vf_of_formula ctx.env loc i in
-          let tv = vf_of_test ctx.env loc t in
-          emit_vc ctx "while-preserve" (Vimp (Vand (iv, tv), wp_seq ctx body iv));
-          emit_vc ctx "while-exit" (Vimp (Vand (iv, Vnot tv), q));
+          let iv = formula c loc i in
+          let tv = test c loc t in
+          emit_vc c "while-preserve" (imp c (and_ c iv tv) (wp_seq c body iv));
+          emit_vc c "while-exit" (imp c (and_ c iv (not_ c tv)) q);
           iv)
   | Ast.Srepeat (body, t, inv, loc) -> (
       match inv with
       | None ->
           unsupported "repeat loop without an invariant annotation (inv {...})"
       | Some i ->
-          let iv = vf_of_formula ctx.env loc i in
-          let tv = vf_of_test ctx.env loc t in
+          let iv = formula c loc i in
+          let tv = test c loc t in
           (* I holds after each body execution *)
-          emit_vc ctx "repeat-preserve" (Vimp (Vand (iv, Vnot tv), wp_seq ctx body iv));
-          emit_vc ctx "repeat-exit" (Vimp (Vand (iv, tv), q));
-          wp_seq ctx body iv)
+          let body_wp = wp_seq c body iv in
+          emit_vc c "repeat-preserve" (imp c (and_ c iv (not_ c tv)) body_wp);
+          emit_vc c "repeat-exit" (imp c (and_ c iv tv) q);
+          body_wp)
   | Ast.Sassert (a, loc) ->
-      let av = vf_of_formula ctx.env loc a in
-      emit_vc ctx "assert" (Vimp (av, q));
+      let av = formula c loc a in
+      emit_vc c "assert" (imp c av q);
       av
   | Ast.Scall (n, _) -> unsupported "procedure call %S in verified code" n
   | Ast.Sreturn _ -> unsupported "return in verified code"
   | Ast.Spush _ | Ast.Spop _ -> unsupported "stack operation in verified code"
 
-and wp_seq ctx stmts q = List.fold_right (fun s acc -> wp ctx s acc) stmts q
-
-(* -- discharging VCs ------------------------------------------------------------------ *)
-
-let exhaustive_bits = 18
-let samples = 4000
-
-let rec free_vars acc (e : sym) =
-  match e with
-  | Svar v -> if List.exists (fun v' -> fst v' = fst v) acc then acc else v :: acc
-  | Sconst _ -> acc
-  | Sadd (a, b) | Ssub (a, b) | Smul (a, b) | Sand (a, b) | Sor (a, b)
-  | Sxor (a, b) ->
-      free_vars (free_vars acc a) b
-  | Sshl (a, _) | Sshr (a, _) | Srol (a, _) | Sror (a, _) | Snot a
-  | Strunc (_, a) ->
-      free_vars acc a
-
-let rec free_vars_vf acc (f : vf) =
-  match f with
-  | Vtrue | Vfalse -> acc
-  | Vrel (_, a, b) -> free_vars (free_vars acc a) b
-  | Vand (a, b) | Vor (a, b) | Vimp (a, b) -> free_vars_vf (free_vars_vf acc a) b
-  | Vnot a -> free_vars_vf acc a
-
-(* Evaluate under an assignment of values to variables.  The left
-   operand's width wins; constants adapt. *)
-let rec eval_sym valu (e : sym) : Bitvec.t =
-  match e with
-  | Svar v -> List.assoc (fst v) valu
-  | Sconst c -> c
-  | Sadd (a, b) -> binop valu Bitvec.add a b
-  | Ssub (a, b) -> binop valu Bitvec.sub a b
-  | Smul (a, b) -> binop valu Bitvec.mul a b
-  | Sand (a, b) -> binop valu Bitvec.logand a b
-  | Sor (a, b) -> binop valu Bitvec.logor a b
-  | Sxor (a, b) -> binop valu Bitvec.logxor a b
-  | Sshl (a, n) -> Bitvec.shift_left (eval_sym valu a) n
-  | Sshr (a, n) -> Bitvec.shift_right (eval_sym valu a) n
-  | Srol (a, n) -> Bitvec.rotate_left (eval_sym valu a) n
-  | Sror (a, n) -> Bitvec.rotate_right (eval_sym valu a) n
-  | Snot a -> Bitvec.lognot (eval_sym valu a)
-  | Strunc (w, a) -> Bitvec.resize ~width:w (eval_sym valu a)
-
-and binop valu f a b =
-  let va = eval_sym valu a in
-  let vb = Bitvec.resize ~width:(Bitvec.width va) (eval_sym valu b) in
-  f va vb
-
-let rec eval_vf valu (f : vf) : bool =
-  match f with
-  | Vtrue -> true
-  | Vfalse -> false
-  | Vrel (r, a, b) ->
-      let va = eval_sym valu a in
-      let vb = Bitvec.resize ~width:(Bitvec.width va) (eval_sym valu b) in
-      let c = Bitvec.compare_unsigned va vb in
-      (match r with
-      | Ast.FReq -> c = 0
-      | Ast.FRne -> c <> 0
-      | Ast.FRlt -> c < 0
-      | Ast.FRle -> c <= 0
-      | Ast.FRgt -> c > 0
-      | Ast.FRge -> c >= 0)
-  | Vand (a, b) -> eval_vf valu a && eval_vf valu b
-  | Vor (a, b) -> eval_vf valu a || eval_vf valu b
-  | Vnot a -> not (eval_vf valu a)
-  | Vimp (a, b) -> (not (eval_vf valu a)) || eval_vf valu b
-
-type status =
-  | Proved  (* exhaustively checked *)
-  | Refuted of (Compile.storage * Bitvec.t) list  (* counterexample *)
-  | Sampled of int  (* held on this many sampled states *)
-
-let corner_values w =
-  let bv v = Bitvec.of_int64 ~width:w v in
-  List.sort_uniq compare
-    [ Bitvec.zero w; Bitvec.ones w; bv 1L; bv 2L; Bitvec.pred (Bitvec.ones w);
-      Bitvec.shift_left (bv 1L) (w - 1) ]
-
-let check_vf (f : vf) : status =
-  let vars = free_vars_vf [] f in
-  let widths = List.map snd vars in
-  let total_bits = List.fold_left ( + ) 0 widths in
-  if total_bits = 0 then if eval_vf [] f then Proved else Refuted []
-  else if total_bits <= exhaustive_bits then begin
-    (* exhaustive enumeration *)
-    let rec enumerate acc = function
-      | [] -> if eval_vf acc f then None else Some acc
-      | (st, w) :: rest ->
-          let rec values v =
-            if Int64.unsigned_compare v (Bitvec.to_int64 (Bitvec.ones w)) > 0
-            then None
-            else
-              match
-                enumerate ((st, Bitvec.of_int64 ~width:w v) :: acc) rest
-              with
-              | Some cex -> Some cex
-              | None -> values (Int64.add v 1L)
-          in
-          values 0L
-    in
-    match enumerate [] (List.map (fun (st, w) -> (st, w)) vars) with
-    | None -> Proved
-    | Some cex -> Refuted cex
-  end
-  else begin
-    (* corner + random sampling *)
-    let rng = Random.State.make [| 0x5357; total_bits |] in
-    let corners =
-      (* all-corner combinations, capped *)
-      let rec combos = function
-        | [] -> [ [] ]
-        | (st, w) :: rest ->
-            let tails = combos rest in
-            List.concat_map
-              (fun v -> List.map (fun t -> (st, v) :: t) tails)
-              (corner_values w)
-      in
-      let all = combos vars in
-      if List.length all > 4096 then List.filteri (fun i _ -> i < 4096) all
-      else all
-    in
-    let random_state () =
-      List.map
-        (fun (st, w) ->
-          (st, Bitvec.of_int64 ~width:w (Random.State.int64 rng Int64.max_int)))
-        vars
-    in
-    let cex = ref None in
-    List.iter
-      (fun valu -> if !cex = None && not (eval_vf valu f) then cex := Some valu)
-      corners;
-    let n = ref (List.length corners) in
-    let i = ref 0 in
-    while !cex = None && !i < samples do
-      let valu = random_state () in
-      if not (eval_vf valu f) then cex := Some valu;
-      incr i;
-      incr n
-    done;
-    match !cex with Some c -> Refuted c | None -> Sampled !n
-  end
+and wp_seq c stmts q = List.fold_right (fun s acc -> wp c s acc) stmts q
 
 (* -- entry point ------------------------------------------------------------------------- *)
 
+let budget_bits = 18
+
 type report = {
-  results : (string * status) list;
+  results : (string * Symexec.verdict) list;
   proved : int;
-  sampled : int;
+  unknown : int;
   refuted : int;
   failure : string option;  (* unsupported-construct message, if any *)
 }
+
+let failed msg =
+  { results = []; proved = 0; unknown = 0; refuted = 0; failure = Some msg }
 
 let verify (d : Desc.t) (p : Ast.program) : report =
   let env = Compile.instantiate d p in
   let loc = Loc.dummy in
   try
-    let ctx = { env; vcs = []; count = 0 } in
-    let post =
-      match p.Ast.post with
-      | Some f -> vf_of_formula env loc f
-      | None -> Vtrue
-    in
-    let pre =
-      match p.Ast.pre with
-      | Some f -> vf_of_formula env loc f
-      | None -> Vtrue
-    in
-    let entry = wp_seq ctx p.Ast.body post in
-    emit_vc ctx "pre-entry" (Vimp (pre, entry));
+    let c = { env; tm = Symexec.create_ctx (); vcs = []; count = 0 } in
+    let assertion = function Some f -> formula c loc f | None -> true_ c in
+    let post = assertion p.Ast.post in
+    let pre = assertion p.Ast.pre in
+    let entry = wp_seq c p.Ast.body post in
+    emit_vc c "pre-entry" (imp c pre entry);
     let results =
-      List.rev_map (fun vc -> (vc.vc_name, check_vf vc.vc_f)) ctx.vcs
+      List.rev_map
+        (fun (name, vc) ->
+          ( name,
+            Symexec.decide ~budget_bits
+              [ (vc Store.empty, Symexec.true_ c.tm) ] ))
+        c.vcs
     in
-    let count pred = List.length (List.filter pred results) in
-    {
-      results;
-      proved = count (fun (_, s) -> s = Proved);
-      sampled = count (fun (_, s) -> match s with Sampled _ -> true | _ -> false);
-      refuted = count (fun (_, s) -> match s with Refuted _ -> true | _ -> false);
-      failure = None;
-    }
+    let count v = List.length (List.filter (fun (_, v') -> v' = v) results) in
+    let proved = count Symexec.Proved and unknown = count Symexec.Unknown in
+    let refuted = List.length results - proved - unknown in
+    { results; proved; unknown; refuted; failure = None }
   with
-  | Unsupported msg ->
-      { results = []; proved = 0; sampled = 0; refuted = 0; failure = Some msg }
-  | Diag.Error dg ->
-      {
-        results = [];
-        proved = 0;
-        sampled = 0;
-        refuted = 0;
-        failure = Some (Diag.to_string dg);
-      }
+  | Unsupported msg -> failed msg
+  | Diag.Error dg -> failed (Diag.to_string dg)
 
 let ok report = report.failure = None && report.refuted = 0
 
-let pp_status ppf = function
-  | Proved -> Fmt.string ppf "proved (exhaustive)"
-  | Sampled n -> Fmt.pf ppf "held on %d sampled states" n
-  | Refuted cex ->
-      Fmt.pf ppf "REFUTED (%d-variable counterexample)" (List.length cex)
+let pp_verdict ppf = function
+  | Symexec.Proved -> Fmt.string ppf "proved (exhaustive)"
+  | Symexec.Unknown ->
+      Fmt.pf ppf "unknown (over %d free bits; no counterexample found)"
+        budget_bits
+  | Symexec.Refuted cx ->
+      Fmt.pf ppf "REFUTED, counterexample @[<h>%a@]" Symexec.pp_assignment cx
 
 let pp_report ppf r =
   match r.failure with
   | Some m -> Fmt.pf ppf "verification not applicable: %s" m
   | None ->
-      Fmt.pf ppf "@[<v>%a@]"
-        (Fmt.list ~sep:Fmt.cut (fun ppf (n, s) ->
-             Fmt.pf ppf "%-20s %a" n pp_status s))
-        r.results
+      Fmt.pf ppf "@[<v>%a@,%d proved, %d unknown, %d refuted@]"
+        (Fmt.list ~sep:Fmt.cut (fun ppf (n, v) ->
+             Fmt.pf ppf "%-20s %a" n pp_verdict v))
+        r.results r.proved r.unknown r.refuted

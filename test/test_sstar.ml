@@ -274,6 +274,19 @@ let test_composition_errors () =
 
 let verify d src = Sstar.Verify.verify d (Sstar.Parser.parse src)
 
+(* Each VC's verdict, pinned: [P]roved, [U]nknown or [R]efuted. *)
+let check_verdicts expected (r : Sstar.Verify.report) =
+  Alcotest.(check (list (pair string string)))
+    "verdicts" expected
+    (List.map
+       (fun (name, v) ->
+         ( name,
+           match v with
+           | Symexec.Proved -> "P"
+           | Symexec.Unknown -> "U"
+           | Symexec.Refuted _ -> "R" ))
+       r.Sstar.Verify.results)
+
 (* The survey's INC semantics in an instantiation: wraparound at the
    declared width is part of the machine-level meaning. *)
 let test_verify_inc_wraps () =
@@ -287,21 +300,32 @@ let test_verify_inc_wraps () =
        begin x := x + 1 end\n"
   in
   check_bool "wrap proved" true (Sstar.Verify.ok r);
-  check_bool "exhaustive" true (r.Sstar.Verify.proved >= 1)
+  check_verdicts [ ("pre-entry#1", "P") ] r
 
 let test_verify_refutes () =
   let d = Machines.hp3 in
-  let r =
-    verify d
-      "program INC2;\n\
-       var x : seq [15..0] bit at R1;\n\
-       pre { true };\n\
-       post { x > 0 };\n\
-       begin x := x + 1 end\n"
+  let src =
+    "program INC2;\n\
+     var x : seq [15..0] bit at R1;\n\
+     pre { true };\n\
+     post { x > 0 };\n\
+     begin x := x + 1 end\n"
   in
+  let r = verify d src in
   (* x = 65535 wraps to 0: the claim is false *)
-  check_bool "refuted" true (r.Sstar.Verify.refuted >= 1);
-  check_bool "not ok" false (Sstar.Verify.ok r)
+  check_verdicts [ ("pre-entry#1", "R") ] r;
+  check_bool "not ok" false (Sstar.Verify.ok r);
+  (* the counterexample names the register as Symexec does, so it replays
+     on the simulator — and the compiled program breaks x > 0 there *)
+  match r.Sstar.Verify.results with
+  | [ (_, Symexec.Refuted cx) ] ->
+      let sim =
+        compile_run
+          ~setup:(fun sim -> Msl_core.Workloads.apply_assignment d sim cx)
+          d src
+      in
+      check_int "x wrapped to 0" 0 (Bitvec.to_int (Sim.get_reg sim "R1"))
+  | _ -> Alcotest.fail "expected one refuted VC"
 
 let test_verify_guarded_inc () =
   (* the paper's modified rule: {x+1 = v and v < 32768} INC x {x = v},
@@ -316,7 +340,8 @@ let test_verify_guarded_inc () =
        post { y = x + 1 and y > x };\n\
        begin y := x + 1 end\n"
   in
-  check_bool "guarded increment proved" true (Sstar.Verify.ok r)
+  check_bool "guarded increment proved" true (Sstar.Verify.ok r);
+  check_verdicts [ ("pre-entry#1", "P") ] r
 
 let test_verify_while_invariant () =
   let d = Machines.hp3 in
@@ -331,7 +356,9 @@ let test_verify_while_invariant () =
        end\n"
   in
   check_bool "loop proved" true (Sstar.Verify.ok r);
-  check_bool "three VCs" true (List.length r.Sstar.Verify.results = 3)
+  check_verdicts
+    [ ("while-preserve#1", "P"); ("while-exit#2", "P"); ("pre-entry#3", "P") ]
+    r
 
 let test_verify_bad_invariant () =
   let d = Machines.hp3 in
@@ -346,7 +373,9 @@ let test_verify_bad_invariant () =
        end\n"
   in
   (* exit gives x = 0, not 1 *)
-  check_bool "refuted" true (r.Sstar.Verify.refuted >= 1)
+  check_verdicts
+    [ ("while-preserve#1", "P"); ("while-exit#2", "R"); ("pre-entry#3", "P") ]
+    r
 
 let test_verify_cobegin_simultaneous () =
   (* swap via cobegin: simultaneous substitution semantics *)
@@ -360,7 +389,8 @@ let test_verify_cobegin_simultaneous () =
        post { a = 9 and b = 3 };\n\
        begin cobegin a := b; b := a coend end\n"
   in
-  check_bool "parallel swap proved" true (Sstar.Verify.ok r)
+  check_bool "parallel swap proved" true (Sstar.Verify.ok r);
+  check_verdicts [ ("pre-entry#1", "P") ] r
 
 let test_verify_unsupported_reported () =
   let d = Machines.hp3 in
@@ -372,9 +402,11 @@ let test_verify_unsupported_reported () =
   in
   check_bool "missing invariant reported" true (r.Sstar.Verify.failure <> None)
 
-(* The multiply loop proved functionally correct: n0 is a register the
+(* The multiply loop's functional-correctness VCs: n0 is a register the
    loop never writes, standing for the initial multiplier (the ghost the
-   classical proof needs). *)
+   classical proof needs).  Four 16-bit variables are beyond the
+   exhaustive budget, so the right invariant is Unknown — never refuted —
+   while a wrong one is refuted. *)
 let test_verify_mpy_correct () =
   let d = Machines.hp3 in
   let r =
@@ -393,7 +425,11 @@ let test_verify_mpy_correct () =
       \  od\n\
        end\n"
   in
-  check_bool "multiply loop proved" true (Sstar.Verify.ok r);
+  (* 64 live bits: nothing refutes it, but nothing proves it either *)
+  check_bool "multiply loop not refuted" true (Sstar.Verify.ok r);
+  check_verdicts
+    [ ("while-preserve#1", "U"); ("while-exit#2", "U"); ("pre-entry#3", "U") ]
+    r;
   (* and a wrong invariant is caught *)
   let bad =
     verify d
@@ -412,7 +448,9 @@ let test_verify_mpy_correct () =
       \  od\n\
        end\n"
   in
-  check_bool "broken loop refuted" true (bad.Sstar.Verify.refuted >= 1)
+  check_verdicts
+    [ ("while-preserve#1", "R"); ("while-exit#2", "U"); ("pre-entry#3", "U") ]
+    bad
 
 let test_verify_assert_cut () =
   let d = Machines.hp3 in
@@ -428,7 +466,8 @@ let test_verify_assert_cut () =
       \  x := x + x\n\
        end\n"
   in
-  check_bool "assert cut proved" true (Sstar.Verify.ok r)
+  check_bool "assert cut proved" true (Sstar.Verify.ok r);
+  check_verdicts [ ("assert#1", "P"); ("pre-entry#2", "P") ] r
 
 let () =
   Alcotest.run "sstar"

@@ -3,12 +3,12 @@
    The property the pass ships on: over every example program on every
    machine it targets, -O2 never emits more words than -O1, the final
    architectural state is bit-identical, and every accepted rewrite
-   replays its proof obligation (Tv.validate_rewrite = Validated, no
-   dynamic fallback).  Plus direct unit coverage of the window
-   machinery: a window spanning a merged (jump-threaded) block edge, a
-   referenced label fencing that same window off, an Int_ack word
-   vetoing an otherwise-packable window, and the content-addressed
-   memo serving a second search from the first. *)
+   replays its proof obligation (Tv.validate_rewrite = Validated).
+   Plus direct unit coverage of the window machinery: a window spanning
+   a merged (jump-threaded) block edge, a referenced label fencing that
+   same window off, an Int_ack word vetoing an otherwise-packable window,
+   and the content-addressed memo serving a second search from the
+   first. *)
 
 open Msl_bitvec
 open Msl_machine

@@ -46,8 +46,9 @@ let test_decide_proved () =
   | Symexec.Refuted _ -> Alcotest.fail "refuted a true equality"
   | Symexec.Unknown -> Alcotest.fail "budget should cover 16 live bits"
 
-(* The same goal under a starved budget (no enumeration, no samples) is
-   the honest answer: Unknown. *)
+(* The same goal under a starved budget (no enumeration): no sample or
+   corner store can refute a true equality, so the honest answer is
+   Unknown. *)
 let test_decide_unknown () =
   let ctx = Symexec.create_ctx () in
   let x = Symexec.var ctx "x" 8 and y = Symexec.var ctx "y" 8 in
@@ -57,7 +58,7 @@ let test_decide_unknown () =
       (Symexec.add ctx x (Symexec.lognot ctx y))
       (Symexec.const_int ctx ~width:8 1)
   in
-  match Symexec.decide ~budget_bits:0 ~samples:0 [ (lhs, rhs) ] with
+  match Symexec.decide ~budget_bits:0 [ (lhs, rhs) ] with
   | Symexec.Unknown -> ()
   | _ -> Alcotest.fail "a starved budget must answer Unknown"
 
@@ -72,8 +73,25 @@ let test_decide_refuted () =
   | Symexec.Refuted cx ->
       let env = env_of cx in
       check_bool "counterexample separates the terms" false
-        (Symexec.equal_under env lhs rhs)
+        (Bitvec.equal (Symexec.eval env lhs) (Symexec.eval env rhs))
   | _ -> Alcotest.fail "expected a refutation"
+
+(* A 32-bit goal that fails only at the sign-bit corner x = 0x80000000:
+   too wide to enumerate and missed by the random samples, it is refuted
+   by the corner-value layer. *)
+let test_decide_corner () =
+  let ctx = Symexec.create_ctx () in
+  let x = Symexec.var ctx "x" 32 in
+  let is_min =
+    Symexec.alu_flag ctx Rtl.Z Rtl.A_sub x
+      (Symexec.const_int ctx ~width:32 0x80000000)
+      ~carry:(Symexec.const_int ctx ~width:1 0)
+  in
+  match Symexec.decide [ (is_min, Symexec.const_int ctx ~width:1 0) ] with
+  | Symexec.Refuted [ ("x", v) ] ->
+      check_bool "the counterexample is the sign bit" true
+        (Bitvec.to_int v = 0x80000000)
+  | _ -> Alcotest.fail "expected a corner-value refutation"
 
 (* -- normalizer soundness: symbolic execution vs the interpreter --------- *)
 
@@ -104,7 +122,7 @@ let test_symexec_matches_sim () =
           let env = env_of a in
           let sim = Sim.create hp3 in
           Sim.load_store sim words;
-          Tv.apply_assignment hp3 sim a;
+          Core.Workloads.apply_assignment hp3 sim a;
           (match Sim.run ~fuel:256 sim with
           | Sim.Halted -> ()
           | Sim.Out_of_fuel -> Alcotest.fail "block did not halt");
@@ -125,7 +143,7 @@ let test_symexec_matches_sim () =
                 Alcotest.failf "seed %d, flag %s: sim %b vs symexec %b" seed
                   (Rtl.flag_name fl) want got)
             store.Symexec.st_flags)
-        (Tv.seeded_assignments hp3 ~seed ~n:3))
+        (Core.Workloads.seeded_assignments hp3 ~seed ~n:3))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 (* -- hash-consing normalizations ----------------------------------------- *)
@@ -159,28 +177,38 @@ let to_words insts =
 let parse_words src = to_words (Masm.parse_program hp3 src)
 
 (* R1 + R1 vs R1 shl 1: equal on all 2^16 inputs but structurally
-   different (shifts stay opaque), so the verdict walks the layers:
-   exhaustive proof under the default budget, Unknown when starved,
-   dynamic agreement when the fallback is allowed. *)
+   different (shifts stay opaque), so the verdict comes from the layers:
+   an exhaustive proof under the default budget; with R2 added in, 32 live
+   bits exceed the budget and the answer is Unknown — a failure at every
+   gate, never a pass. *)
 let test_validate_words_layers () =
-  let reference = parse_words "[ add R0, R1, R1 ] -> halt\n" in
+  let add1 = parse_words "[ add R0, R1, R1 ] -> halt\n" in
   let shl1 = parse_words "[ shl R0, R1, #1 ] -> halt\n" in
-  (match Tv.validate_words hp3 ~reference ~candidate:shl1 with
+  (match Tv.validate_words hp3 ~reference:add1 ~candidate:shl1 with
   | Tv.Validated -> ()
   | _ -> Alcotest.fail "expected an exhaustive proof");
-  let starved =
-    { Tv.tv_budget_bits = 0; tv_samples = 0; tv_seed = 0; tv_dynamic = false }
-  in
-  (match Tv.validate_words ~config:starved hp3 ~reference ~candidate:shl1 with
+  let wide_ref = parse_words "[ add R0, R1, R1 ]\n[ add R0, R0, R2 ]\n" in
+  let wide_cand = parse_words "[ shl R0, R1, #1 ]\n[ add R0, R0, R2 ]\n" in
+  (match Tv.validate_words hp3 ~reference:wide_ref ~candidate:wide_cand with
   | Tv.Unknown -> ()
-  | _ -> Alcotest.fail "a starved budget must answer Unknown");
-  let dynamic = { starved with Tv.tv_dynamic = true } in
-  (match Tv.validate_words ~config:dynamic hp3 ~reference ~candidate:shl1 with
-  | Tv.Validated_dynamic -> ()
-  | _ -> Alcotest.fail "the dynamic fallback should agree");
+  | _ -> Alcotest.fail "32 live bits must answer Unknown");
+  let artifact =
+    {
+      Tv.a_label = "wide";
+      a_body = List.concat_map fst wide_ref;
+      a_tail = [];
+      a_mis = wide_cand;
+    }
+  in
+  let r = Tv.validate_artifacts hp3 [ artifact ] in
+  check_bool "counted unknown, not validated" true
+    (r.Tv.v_unknown = 1 && r.Tv.v_validated = 0);
+  check_bool "a tv-unknown finding" true
+    (List.map (fun f -> f.Msl_mir.Diag.f_code) r.Tv.v_findings
+    = [ "tv-unknown" ]);
   (* R1 shl 2 computes something else: refuted with a counterexample *)
   let shl2 = parse_words "[ shl R0, R1, #2 ] -> halt\n" in
-  match Tv.validate_words hp3 ~reference ~candidate:shl2 with
+  match Tv.validate_words hp3 ~reference:add1 ~candidate:shl2 with
   | Tv.Refuted (Some _) -> ()
   | _ -> Alcotest.fail "expected a counterexample refutation"
 
@@ -195,7 +223,6 @@ let test_validate_honest_block () =
       (* same n/p_dep: candidate is the compaction of the same op list *)
       match Tv.validate_words hp3 ~reference ~candidate with
       | Tv.Validated -> ()
-      | Tv.Validated_dynamic -> Alcotest.fail "honest block needed the fallback"
       | Tv.Refuted _ -> Alcotest.failf "honest compaction refuted (seed %d)" seed
       | Tv.Unknown -> Alcotest.failf "honest compaction unknown (seed %d)" seed)
     [ 1; 2; 3; 4; 5 ]
@@ -209,8 +236,7 @@ let test_validate_different_blocks () =
   let candidate = to_words (block_words hp3 ~seed:2 ~n:12) in
   match Tv.validate_words hp3 ~reference ~candidate with
   | Tv.Refuted _ -> ()
-  | Tv.Validated | Tv.Validated_dynamic ->
-      Alcotest.fail "validated two different blocks"
+  | Tv.Validated -> Alcotest.fail "validated two different blocks"
   | Tv.Unknown -> Alcotest.fail "expected a refutation, got Unknown"
 
 (* -- program-level validation: miscompiles refuted and replayed ---------- *)
@@ -221,25 +247,6 @@ let read_example name =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
-
-(* The probe's observation, replayed: one input store through both
-   programs on the interpreter, compared on halt status + architectural
-   digest. *)
-let replay_diverges (d : Desc.t) witness reference mutant =
-  let run insts =
-    try
-      let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
-      Sim.load_store sim insts;
-      Tv.apply_assignment d sim witness;
-      let status =
-        match Sim.run ~fuel:4096 sim with
-        | Sim.Halted -> "halted\n"
-        | Sim.Out_of_fuel -> "fuel\n"
-      in
-      status ^ Tv.arch_digest d sim
-    with Msl_util.Diag.Error di -> "fault:" ^ di.Msl_util.Diag.message
-  in
-  run reference <> run mutant
 
 let test_miscompiles_refuted () =
   let d = hp3 in
@@ -263,7 +270,8 @@ let test_miscompiles_refuted () =
               check_bool
                 (name ^ " witness replays to divergent state")
                 true
-                (replay_diverges d witness insts mutant))
+                (Core.Workloads.observe d insts witness
+                <> Core.Workloads.observe d mutant witness))
         [ 0; 1; 2; 3; 4 ];
       check_bool (name ^ " found an injectable site") true !found)
     Core.Workloads.all_miscompiles
@@ -288,6 +296,8 @@ let () =
           Alcotest.test_case "unknown when starved" `Quick test_decide_unknown;
           Alcotest.test_case "refuted with counterexample" `Quick
             test_decide_refuted;
+          Alcotest.test_case "refuted at a corner value" `Quick
+            test_decide_corner;
         ] );
       ( "symexec",
         [
