@@ -583,38 +583,22 @@ let experiments_cmd =
   in
   let run trace names =
     setup_trace trace;
+    let tables = Core.Experiments.tables in
+    let wanted =
+      if names = [] then List.map fst tables
+      else List.map String.lowercase_ascii names
+    in
+    (match List.find_opt (fun n -> not (List.mem_assoc n tables)) wanted with
+    | Some n ->
+        Fmt.epr "unknown experiment %S@." n;
+        exit 2
+    | None -> ());
     handle_diag (fun () ->
-        let all =
-          [ ("t1", fun () -> Core.Experiments.t1 ());
-            ("t2", fun () -> [ Core.Experiments.t2 () ]);
-            ("t3", fun () -> [ Core.Experiments.t3 () ]);
-            ("t4", fun () -> [ Core.Experiments.t4 () ]);
-            ("t5", fun () -> [ Core.Experiments.t5 () ]);
-            ("t6", fun () -> [ Core.Experiments.t6 () ]);
-            ("t7", fun () -> [ Core.Experiments.t7 () ]);
-            ("t8", fun () -> [ Core.Experiments.t8 () ]);
-            ("f1", fun () -> [ Core.Experiments.f1 () ]);
-            ("f2", fun () -> Core.Experiments.f2 ());
-            ("a1", fun () -> [ Core.Experiments.a1 () ]);
-            ("o1", fun () -> [ Core.Experiments.o1 () ]);
-            ("l1", fun () -> [ Core.Experiments.l1 () ]);
-            ("m1", fun () -> [ Core.Experiments.m1 () ]);
-            ("v1", fun () -> Core.Experiments.v1 ());
-            ("r1", fun () -> [ Core.Experiments.r1 () ]);
-            ("s4", fun () -> [ Core.Experiments.s4 () ]) ]
-        in
-        let wanted =
-          if names = [] then List.map fst all
-          else List.map String.lowercase_ascii names
-        in
         List.iter
           (fun n ->
-            match List.assoc_opt n all with
-            | Some f ->
-                List.iter
-                  (fun t -> Msl_util.Tbl.print t; print_newline ())
-                  (Trace.with_span ~cat:"experiment" n f)
-            | None -> Fmt.epr "unknown experiment %S@." n)
+            List.iter
+              (fun t -> Msl_util.Tbl.print t; print_newline ())
+              ((List.assoc n tables) ()))
           wanted)
   in
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the experiment tables")

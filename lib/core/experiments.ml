@@ -1410,24 +1410,41 @@ let r1 () =
    reset+setup+run, the compiled loop reuses one [Simc.translate] result
    across resets — which is exactly the replay pattern the engine is
    for.  Timed on the monotonic clock, so the absolute numbers vary by
-   host; the *ratio* is the claim (see BENCH_*.json for the asserted
-   floor). *)
+   host; the *ratio* is the claim (bench/main.exe gates it against a
+   floor and records it in BENCH_*.json). *)
 type s4_row = {
   s4_kernel : string;
   s4_machine : string;
   s4_cycles : int;  (* per run, identical on both engines *)
-  s4_interp_cps : float;  (* cycles per second *)
+  s4_interp_cps : float;  (* cycles per second, median window *)
   s4_compiled_cps : float;
-  s4_speedup : float;
+  s4_speedup : float;  (* median of the paired windows' ratios *)
+  s4_speedup_min : float;  (* the spread of those ratios *)
+  s4_speedup_max : float;
 }
 
-(* Repeat [f] until [budget_s] seconds have elapsed (at least once);
-   return (runs, elapsed). *)
-let s4_time budget_s f =
+(* Median, minimum and maximum of a nonempty sample. *)
+let median_spread xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let median =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
+  (median, a.(0), a.(n - 1))
+
+(* Timing windows per S4 row, and the length of one window. *)
+let s4_windows = 5
+let s4_window_s = 0.05
+
+(* Cycles per second of [f] over one window: repeat it until the window
+   has elapsed (at least once). *)
+let s4_cps cycles f =
   let t0 = Clock.now_s () in
   let rec go n =
     let elapsed = Clock.elapsed_s t0 in
-    if n > 0 && elapsed >= budget_s then (n, elapsed)
+    if n > 0 && elapsed >= s4_window_s then
+      float_of_int (n * cycles) /. elapsed
     else (
       f ();
       go (n + 1))
@@ -1459,7 +1476,11 @@ let s4_kernels =
         Sim.set_reg_int sim "R3" (List.length s4_dot_x) );
   ]
 
-let s4_rows ?(budget_s = 0.05) () =
+(* Each row takes [s4_windows] pairs of windows, the interpreter's and
+   then the compiled engine's, so a host that slows the process down by
+   turns slows both halves of a pair alike; the row reports the median
+   of the pairs' speedups and their spread. *)
+let s4_rows () =
   List.concat_map
     (fun (name, lang, src, machines, setup) ->
       List.map
@@ -1474,38 +1495,37 @@ let s4_rows ?(budget_s = 0.05) () =
           | Sim.Out_of_fuel -> assert false);
           let cycles = Sim.cycles sim in
           let engine = Simc.translate sim in
-          let cps f =
-            (* best of three timing windows (the first doubles as
-               warmup): scheduling noise only ever slows a run down, so
-               the max is the honest throughput estimate *)
-            let one () =
-              let runs, elapsed = s4_time budget_s f in
-              float_of_int (runs * cycles) /. elapsed
-            in
-            let a = one () in
-            let b = one () in
-            let c = one () in
-            Float.max a (Float.max b c)
+          let interp () =
+            Sim.reset sim;
+            setup sim;
+            ignore (Sim.run sim)
+          and compiled () =
+            Sim.reset sim;
+            setup sim;
+            ignore (Simc.run engine)
           in
-          let compiled_cps =
-            cps (fun () ->
-                Sim.reset sim;
-                setup sim;
-                ignore (Simc.run engine))
+          compiled () (* warm the compiled engine's code paths once *);
+          let pairs =
+            List.init s4_windows (fun _ ->
+                let i = s4_cps cycles interp in
+                (i, s4_cps cycles compiled))
           in
-          let interp_cps =
-            cps (fun () ->
-                Sim.reset sim;
-                setup sim;
-                ignore (Sim.run sim))
+          let median f =
+            let m, _, _ = median_spread (List.map f pairs) in
+            m
+          in
+          let speedup, lo, hi =
+            median_spread (List.map (fun (i, c) -> c /. i) pairs)
           in
           {
             s4_kernel = name;
             s4_machine = d.Desc.d_name;
             s4_cycles = cycles;
-            s4_interp_cps = interp_cps;
-            s4_compiled_cps = compiled_cps;
-            s4_speedup = compiled_cps /. interp_cps;
+            s4_interp_cps = median fst;
+            s4_compiled_cps = median snd;
+            s4_speedup = speedup;
+            s4_speedup_min = lo;
+            s4_speedup_max = hi;
           })
         machines)
     s4_kernels
@@ -1514,11 +1534,16 @@ let s4 () =
   let t =
     Tbl.make
       ~title:
-        "S4: simulation engine throughput — compiled closure engine vs \
-         cycle-accurate interpreter (wall-clock; ratios are the claim)"
-      ~aligns:[ Tbl.Left; Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+        (Printf.sprintf
+           "S4: simulation engine throughput — compiled closure engine vs \
+            cycle-accurate interpreter (wall-clock, median of %d paired \
+            windows; ratios are the claim)"
+           s4_windows)
+      ~aligns:
+        [ Tbl.Left; Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
+          Tbl.Right ]
       [ "kernel"; "machine"; "cycles/run"; "interp c/s"; "compiled c/s";
-        "speedup" ]
+        "speedup"; "spread" ]
   in
   List.iter
     (fun r ->
@@ -1528,6 +1553,7 @@ let s4 () =
           Printf.sprintf "%.0f" r.s4_interp_cps;
           Printf.sprintf "%.0f" r.s4_compiled_cps;
           Printf.sprintf "%.1fx" r.s4_speedup;
+          Printf.sprintf "%.1f-%.1fx" r.s4_speedup_min r.s4_speedup_max;
         ])
     (s4_rows ());
   t
@@ -1536,13 +1562,16 @@ let s4 () =
    shows where the time goes table by table. *)
 let table name f = Msl_util.Trace.with_span ~cat:"experiment" name f
 
-let all_tables () =
-  table "t1" t1
-  @ [
-      table "t2" t2; table "t3" t3; table "t4" t4; table "t5" t5;
-      table "t6" t6; table "t7" t7; table "t8" t8; table "f1" f1;
+(* The experiment registry, in EXPERIMENTS.md order: `mslc experiments`
+   prints it and the test suite renders every entry. *)
+let tables =
+  let one f () = [ f () ] in
+  List.map
+    (fun (name, f) -> (name, fun () -> table name f))
+    [
+      ("t1", t1); ("t2", one t2); ("t3", one t3); ("t4", one t4);
+      ("t5", one t5); ("t6", one t6); ("t7", one t7); ("t8", one t8);
+      ("f1", one f1); ("f2", f2); ("a1", one a1); ("o1", one o1);
+      ("l1", one l1); ("m1", one m1); ("v1", v1); ("r1", one r1);
+      ("s4", one s4);
     ]
-  @ table "f2" f2
-  @ [ table "a1" a1; table "o1" o1; table "l1" l1; table "m1" m1 ]
-  @ table "v1" v1
-  @ [ table "r1" r1; table "s4" s4 ]

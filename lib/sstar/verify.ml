@@ -35,13 +35,18 @@ let unsupported fmt = Format.kasprintf (fun m -> raise (Unsupported m)) fmt
 
 (* -- terms over a store --------------------------------------------------- *)
 
-(* The store maps each storage location assigned so far to its value.
-   Program variables are storage locations, so syn aliases of one
-   register meet in one variable; a location never assigned reads as its
-   initial value, a free variable named as [Symexec] names a region's
-   inputs, so a register counterexample replays on the simulator. *)
+(* The store maps each register or constant-addressed memory word
+   assigned so far to its value.  Program variables are views of these
+   cells: syn aliases of one register meet in one cell, and a tuple field
+   is a slice of its register's cell, so a write to the whole register is
+   seen by every field and a field write by the whole register.  A cell
+   never assigned reads as its initial value, a free variable named as
+   [Symexec] names a region's inputs, so a register counterexample
+   replays on the simulator. *)
+type cell = Reg of int | Word of int
+
 module Store = Map.Make (struct
-  type t = Compile.storage
+  type t = cell
 
   let compare = compare
 end)
@@ -55,6 +60,7 @@ type term = Symexec.t Store.t -> Symexec.t
 type wpctx = {
   env : Compile.env;
   tm : Symexec.ctx;
+  widths : int array;  (* each register cell's width *)
   mutable vcs : (string * term) list;
   mutable count : int;
 }
@@ -63,31 +69,74 @@ let emit_vc c name f =
   c.count <- c.count + 1;
   c.vcs <- (Printf.sprintf "%s#%d" name c.count, f) :: c.vcs
 
-let var_name (d : Desc.t) = function
-  | Compile.Sreg r -> Symexec.reg_var_name d.Desc.d_regs.(r).Desc.r_name
-  | Compile.Sregfield (r, hi, lo) ->
-      Printf.sprintf "%s[%d:%d]"
-        (Symexec.reg_var_name d.Desc.d_regs.(r).Desc.r_name)
-        hi lo
-  | Compile.Smem a -> Printf.sprintf "m:%d" a
+(* A register's cell is as wide as the widest view any declaration takes
+   of it: a seq's or a constant's width, one past a field's top bit. *)
+let cell_widths (env : Compile.env) =
+  let w = Array.make (Array.length env.Compile.d.Desc.d_regs) 0 in
+  let see r n = w.(r) <- max w.(r) n in
+  Hashtbl.iter
+    (fun _ -> function
+      | Compile.Oseq (Compile.Sreg r, n)
+      | Compile.Oconst { reg = r; width = n; _ } ->
+          see r n
+      | Compile.Oseq (Compile.Sregfield (r, hi, _), _) -> see r (hi + 1)
+      | Compile.Otuple { reg; fields } ->
+          List.iter (fun (_, hi, _) -> see reg (hi + 1)) fields
+      | Compile.Oarray { ew; cells = Compile.Aregs regs; _ } ->
+          List.iter (fun r -> see r ew) regs
+      | _ -> ())
+    env.Compile.objs;
+  w
+
+(* A program variable: its value in a store, and the store after a value
+   is written to it.  A register variable is bits [hi..lo] of its cell;
+   writing it rebuilds the cell from the bits around them. *)
+type var = {
+  get : term;
+  set : Symexec.t -> Symexec.t Store.t -> Symexec.t Store.t;
+}
+
+let location c loc r =
+  let st, w = Compile.resolve c.env loc r in
+  let tm = c.tm in
+  let view cell name width hi lo =
+    let whole s =
+      match Store.find_opt cell s with
+      | Some t -> t
+      | None -> Symexec.var tm name width
+    in
+    let set v s =
+      let v = Symexec.zext tm (hi - lo + 1) v in
+      let t =
+        if lo = 0 && hi = width - 1 then v
+        else
+          let at_lo x = Bitvec.shift_left (Bitvec.resize ~width x) lo in
+          let keep = Bitvec.lognot (at_lo (Bitvec.ones (hi - lo + 1))) in
+          Symexec.logor tm
+            (Symexec.logand tm (whole s) (Symexec.const tm keep))
+            (Symexec.mul tm (Symexec.zext tm width v)
+               (Symexec.const tm (at_lo (Bitvec.of_int ~width:1 1))))
+      in
+      Store.add cell t s
+    in
+    let get s =
+      if lo = 0 then Symexec.zext tm (hi + 1) (whole s)
+      else Symexec.slice tm (whole s) ~hi ~lo
+    in
+    { get; set }
+  in
+  let reg r hi lo =
+    let name = c.env.Compile.d.Desc.d_regs.(r).Desc.r_name in
+    view (Reg r) (Symexec.reg_var_name name) (max c.widths.(r) (hi + 1)) hi lo
+  in
+  match st with
+  | Compile.Sreg r -> reg r (w - 1) 0
+  | Compile.Sregfield (r, hi, lo) -> reg r hi lo
+  | Compile.Smem a -> view (Word a) (Printf.sprintf "m:%d" a) w (w - 1) 0
   | Compile.Smem_dyn _ ->
       unsupported "run-time-indexed array element in an assertion"
 
-(* A program variable: its storage location, its declared width, and its
-   value in a store. *)
-let location c loc r =
-  let st, w = Compile.resolve c.env loc r in
-  let name = var_name c.env.Compile.d st in
-  ( st,
-    w,
-    fun s ->
-      match Store.find_opt st s with
-      | Some t -> t
-      | None -> Symexec.var c.tm name w )
-
-let value c loc r =
-  let _, _, v = location c loc r in
-  v
+let value c loc r = (location c loc r).get
 
 let constant c v : term =
   let t = Symexec.const c.tm v in
@@ -215,19 +264,16 @@ let test c loc (t : Ast.test) =
 
 (* -- weakest preconditions --------------------------------------------------------- *)
 
-(* One assignment as a (location, value) binding; the value wraps to the
-   destination's declared width, which is where the instantiated overflow
-   semantics (the survey's modified INC rule) comes from. *)
-let binding c loc r e =
-  let st, w, _ = location c loc r in
-  let v = expr c loc e in
-  (st, fun s -> Symexec.zext c.tm w (v s))
+(* One assignment as a (writer, value) binding; the writer wraps the value
+   to the destination's declared width, which is where the instantiated
+   overflow semantics (the survey's modified INC rule) comes from. *)
+let binding c loc r e = ((location c loc r).set, expr c loc e)
 
-(* Simultaneous assignment: every value is read in the old store; on a
-   repeated destination the first binding wins. *)
+(* Simultaneous assignment: every value is read in the old store and the
+   writes land one after another, so fields of one register compose; on
+   a repeated destination the first binding wins. *)
 let assign bindings (q : term) : term =
- fun s ->
-  q (List.fold_right (fun (st, v) s' -> Store.add st (v s) s') bindings s)
+ fun s -> q (List.fold_right (fun (set, v) s' -> set (v s) s') bindings s)
 
 let rec wp c (s : Ast.stmt) (q : term) : term =
   match s with
@@ -312,7 +358,10 @@ let verify (d : Desc.t) (p : Ast.program) : report =
   let env = Compile.instantiate d p in
   let loc = Loc.dummy in
   try
-    let c = { env; tm = Symexec.create_ctx (); vcs = []; count = 0 } in
+    let c =
+      { env; tm = Symexec.create_ctx (); widths = cell_widths env; vcs = [];
+        count = 0 }
+    in
     let assertion = function Some f -> formula c loc f | None -> true_ c in
     let post = assertion p.Ast.post in
     let pre = assertion p.Ast.pre in

@@ -327,6 +327,56 @@ let test_verify_refutes () =
       check_int "x wrapped to 0" 0 (Bitvec.to_int (Sim.get_reg sim "R1"))
   | _ -> Alcotest.fail "expected one refuted VC"
 
+(* A tuple's fields are slices of its register: a write to the whole
+   register is seen by every field, so a postcondition that ignores it is
+   refuted, and the counterexample replays on the compiled program to a
+   state that breaks the postcondition. *)
+let ir_decl =
+  "var ir : tuple opcode : seq [15..12] bit; addr : seq [11..0] bit end at \
+   R1;\n"
+
+let test_verify_field_aliasing () =
+  let d = Machines.hp3 in
+  let src =
+    "program ALIAS;\n" ^ ir_decl
+    ^ "pre { ir.opcode = 0 };\n\
+       post { ir.opcode = 0 };\n\
+       begin ir := 4096 end\n"
+  in
+  let r = verify d src in
+  check_verdicts [ ("pre-entry#1", "R") ] r;
+  match r.Sstar.Verify.results with
+  | [ (_, Symexec.Refuted cx) ] ->
+      let insts, _ = Sstar.Compile.parse_compile d src in
+      let lines =
+        String.split_on_char '\n' (Msl_core.Workloads.observe d insts cx)
+      in
+      check_bool "replay halts" true (List.hd lines = "halted");
+      (* opcode is 1 after the write *)
+      check_bool "R1 = 4096" true (List.mem "R1=4096" lines)
+  | _ -> Alcotest.fail "expected one refuted VC"
+
+(* ... and a field write keeps the bits around it, alone or composed
+   with a second field write in one cobegin. *)
+let test_verify_field_writes () =
+  let d = Machines.hp3 in
+  let r =
+    verify d
+      ("program FIELD;\n" ^ ir_decl
+     ^ "pre { ir.addr = 5 };\n\
+        post { ir = 12293 and ir.addr = 5 };\n\
+        begin ir.opcode := 3 end\n")
+  in
+  check_verdicts [ ("pre-entry#1", "P") ] r;
+  let r =
+    verify d
+      ("program FIELDS;\n" ^ ir_decl
+     ^ "pre { true };\n\
+        post { ir = 4098 };\n\
+        begin cobegin ir.opcode := 1; ir.addr := 2 coend end\n")
+  in
+  check_verdicts [ ("pre-entry#1", "P") ] r
+
 let test_verify_guarded_inc () =
   (* the paper's modified rule: {x+1 = v and v < 32768} INC x {x = v},
      phrased without ghosts: below 32768 the increment is exact *)
@@ -507,6 +557,10 @@ let () =
           Alcotest.test_case "unsupported reported" `Quick
             test_verify_unsupported_reported;
           Alcotest.test_case "assert cut" `Quick test_verify_assert_cut;
+          Alcotest.test_case "tuple field aliasing" `Quick
+            test_verify_field_aliasing;
+          Alcotest.test_case "tuple field writes" `Quick
+            test_verify_field_writes;
           Alcotest.test_case "MPY proved correct" `Quick
             test_verify_mpy_correct;
         ] );
